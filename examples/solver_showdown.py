@@ -14,11 +14,11 @@ import time
 import numpy as np
 
 from repro.fluid import (
+    JacobiSolver,
     MultigridSolver,
     PCGSolver,
     apply_laplacian,
     divergence,
-    jacobi_solve,
     make_smoke_plume,
     poisson_rhs,
 )
@@ -40,7 +40,7 @@ def main() -> None:
         ("CG (no precond)", lambda: PCGSolver(tol=1e-6, preconditioner="none").solve(b, grid.solid)),
         ("CG (Jacobi precond)", lambda: PCGSolver(tol=1e-6, preconditioner="jacobi").solve(b, grid.solid)),
         ("Multigrid V-cycles", lambda: MultigridSolver(tol=1e-6).solve(b, grid.solid)),
-        ("Jacobi x300", lambda: jacobi_solve(b, grid.solid, iterations=300)),
+        ("Jacobi x300", lambda: JacobiSolver(iterations=300).solve(b, grid.solid)),
     ]
 
     print(f"{'solver':22s} {'iters':>6s} {'residual':>10s} {'time':>8s}  converged")

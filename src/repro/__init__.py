@@ -27,9 +27,8 @@ supported entry points and keep working across refactors.
 * the execution farm — :class:`JobSpec`, :class:`JobResult`,
   :class:`SimulationFarm`, :class:`FarmReport`.
 
-Any other public name of :mod:`repro.fluid`, :mod:`repro.core` or
-:mod:`repro.nn` remains reachable from the root through a deprecation shim
-(emits :class:`DeprecationWarning`; import from the subpackage instead).
+Every other public name lives in its subpackage; import it from there
+(e.g. ``from repro.fluid import MIC0Preconditioner``).
 
 Subpackages
 -----------
@@ -54,8 +53,7 @@ Subpackages
 ``repro.farm``
     Concurrent simulation execution: job schema, fault-tolerant
     multiprocessing worker pool with timeouts/retries, atomic ``.npz``
-    checkpoint/resume, and a batched NN-inference service that stacks
-    same-shape pressure solves into one forward pass.
+    checkpoint/resume and graceful degradation to exact PCG.
 ``repro.metrics``
     Runtime counters/timers with hierarchical scopes and JSON export.
 ``repro.trace``
@@ -68,8 +66,6 @@ Subpackages
 """
 
 from __future__ import annotations
-
-import warnings
 
 from . import metrics, trace
 from .metrics import MetricsRegistry, get_metrics
@@ -94,7 +90,7 @@ from .fluid import (
 from .farm import FarmReport, JobResult, JobSpec, SimulationFarm
 from .models import NNProjectionSolver
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # framework
@@ -134,23 +130,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecation shim: resolve moved/unlisted names from the subpackages.
-
-    Keeps historical root-level access (e.g. ``repro.MIC0Preconditioner``)
-    working while steering callers to the canonical import location.
-    """
-    import importlib
-
-    for subpackage in ("fluid", "core", "nn", "farm"):
-        mod = importlib.import_module(f"repro.{subpackage}")
-        if name in getattr(mod, "__all__", ()):
-            warnings.warn(
-                f"importing {name!r} from 'repro' is deprecated; "
-                f"use 'repro.{subpackage}.{name}' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return getattr(mod, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

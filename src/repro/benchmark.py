@@ -8,19 +8,6 @@ compared, their speedup ratio.
 
 Benchmarks
 ----------
-``pcg_geometry_cache``
-    Repeated-geometry PCG: the same Poisson problem solved with the MIC(0)
-    factorisation + wavefront schedule rebuilt every call (cold,
-    ``reset()`` before each solve) vs. reused from the solver's mask-keyed
-    cache (cached).  The cached path does strictly less work, so its
-    speedup is the direct payoff of the caching layer.
-``pcg_warm_start``
-    A short smoke simulation solved with history-independent zero initial
-    guesses vs. warm-starting CG from the previous step's pressure;
-    reports iteration and solve-time ratios.
-``simulation_step``
-    End-to-end simulator steps with the exact solver, with the full
-    per-phase metrics profile attached.
 ``nn_inference``
     The compiled :class:`repro.nn.InferencePlan` vs. the legacy
     layer-by-layer forward on one fixed 128x128 input (the paper's
@@ -30,10 +17,6 @@ Benchmarks
     plan, whose ``fp32_speedup`` over the legacy forward is the headline
     number and whose workspace-reuse counter certifies zero steady-state
     allocations.
-``farm_throughput``
-    The same 8-job list executed serially in-process vs. on the
-    :mod:`repro.farm` process pool; reports jobs/sec and steps/sec for
-    both, which is the farm's headline scaling number.
 ``perf_kernels``
     The geometry-compiled kernel PCG backend vs. the matrix-free reference
     backend on one fixed 128x128 MIC(0) solve (the paper's baseline-cost
@@ -170,94 +153,6 @@ def _poisson_problem(grid_size: int, seed: int):
     return grid.solid, b
 
 
-def _bench_pcg_geometry_cache(scale: BenchScale, seed: int = 0, tol: float = 1e-3) -> dict:
-    """Cold (rebuild MIC(0) each solve) vs. cached repeated-geometry PCG.
-
-    Uses a simulation-grade tolerance: per-step pressure solves in a smoke
-    run are exactly the repeated-geometry, moderate-accuracy workload the
-    cache is built for.
-    """
-    from repro.fluid import MIC0Preconditioner, PCGSolver
-    from repro.metrics import MetricsRegistry
-
-    solid, b = _poisson_problem(scale.grid, seed)
-    metrics = MetricsRegistry()
-    solver = PCGSolver(tol=tol, metrics=metrics)
-
-    cold_times, cached_times = [], []
-    for _ in range(scale.solve_reps):
-        solver.reset()
-        cold_times.append(_time(lambda: solver.solve(b, solid)))
-    solver.reset()
-    res = solver.solve(b, solid)  # prime the cache outside the timed region
-    for _ in range(scale.solve_reps):
-        cached_times.append(_time(lambda: solver.solve(b, solid)))
-    setup = min(_time(lambda: MIC0Preconditioner(solid)) for _ in range(scale.solve_reps))
-
-    cold, cached = min(cold_times), min(cached_times)
-    return {
-        "name": "pcg_geometry_cache",
-        "params": {"grid": scale.grid, "reps": scale.solve_reps, "seed": seed, "tol": tol},
-        "cold_seconds": cold,
-        "cached_seconds": cached,
-        "setup_seconds": setup,
-        "speedup": cold / cached if cached > 0 else float("inf"),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "cache_hits": metrics.counter("cache/mic0/hit"),
-        "cache_misses": metrics.counter("cache/mic0/miss"),
-    }
-
-
-def _bench_pcg_warm_start(scale: BenchScale, seed: int = 0) -> dict:
-    """Zero-initial-guess vs. warm-started PCG across simulation steps."""
-    from repro.data import InputProblem
-    from repro.fluid import FluidSimulator, PCGSolver
-    from repro.metrics import NULL_METRICS
-
-    def run(warm: bool):
-        grid, source = InputProblem(scale.grid, seed).materialize()
-        solver = PCGSolver(warm_start=warm, metrics=NULL_METRICS)
-        sim = FluidSimulator(grid, solver, source, metrics=NULL_METRICS)
-        result = sim.run(scale.sim_steps)
-        iters = sum(r.projection.iterations for r in result.records)
-        return iters, result.solve_seconds, result
-
-    cold_iters, cold_seconds, _ = run(warm=False)
-    warm_iters, warm_seconds, _ = run(warm=True)
-    return {
-        "name": "pcg_warm_start",
-        "params": {"grid": scale.grid, "steps": scale.sim_steps, "seed": seed},
-        "cold_iterations": cold_iters,
-        "warm_iterations": warm_iters,
-        "cold_solve_seconds": cold_seconds,
-        "warm_solve_seconds": warm_seconds,
-        "iteration_ratio": cold_iters / warm_iters if warm_iters else float("inf"),
-    }
-
-
-def _bench_simulation_step(scale: BenchScale, seed: int = 0) -> dict:
-    """End-to-end simulator steps with the full metrics profile attached."""
-    from repro.data import InputProblem
-    from repro.fluid import FluidSimulator, PCGSolver
-    from repro.metrics import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    grid, source = InputProblem(scale.grid, seed).materialize()
-    sim = FluidSimulator(
-        grid, PCGSolver(metrics=metrics), source, metrics=metrics
-    )
-    result = sim.run(scale.sim_steps)
-    return {
-        "name": "simulation_step",
-        "params": {"grid": scale.grid, "steps": scale.sim_steps, "seed": seed},
-        "total_seconds": result.total_seconds,
-        "seconds_per_step": result.total_seconds / scale.sim_steps,
-        "solve_seconds": result.solve_seconds,
-        "metrics": metrics.to_dict(),
-    }
-
-
 def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> dict:
     """Compiled inference plans vs. the legacy forward at a pinned 128x128.
 
@@ -297,60 +192,6 @@ def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> di
         "fp32_max_abs_err": fp32_err,
         "workspace_reuses": plan32.workspace_reuses - reuses_before,
         "arena_bytes_fp32": plan32.arena_bytes,
-    }
-
-
-def _bench_farm_throughput(scale: BenchScale, seed: int = 0, n_jobs: int = 8) -> dict:
-    """Serial vs. farm execution of one fixed job list.
-
-    Both runs execute the *same* specs (same scenarios, same step budgets),
-    so the ratio isolates the execution engine.  On a single-core host the
-    process pool mostly pays its orchestration overhead; with real cores the
-    farm's throughput scales with worker count.
-    """
-    import os
-
-    from repro.farm import JobSpec, SimulationFarm
-    from repro.metrics import MetricsRegistry
-
-    def jobs() -> list[JobSpec]:
-        return [
-            JobSpec(
-                job_id=f"bench-{i}",
-                grid_size=scale.grid,
-                seed=seed + i,
-                steps=scale.sim_steps,
-            )
-            for i in range(n_jobs)
-        ]
-
-    workers = min(n_jobs, os.cpu_count() or 1)
-    serial = SimulationFarm(backend="serial", metrics=MetricsRegistry()).run(jobs())
-    farm = SimulationFarm(
-        backend="process", workers=workers, metrics=MetricsRegistry()
-    ).run(jobs())
-    return {
-        "name": "farm_throughput",
-        "params": {
-            "grid": scale.grid,
-            "steps": scale.sim_steps,
-            "jobs": n_jobs,
-            "workers": workers,
-            "seed": seed,
-        },
-        "serial_seconds": serial.wall_seconds,
-        "farm_seconds": farm.wall_seconds,
-        "serial_jobs_per_second": serial.jobs_per_second,
-        "farm_jobs_per_second": farm.jobs_per_second,
-        "serial_steps_per_second": serial.steps_per_second,
-        "farm_steps_per_second": farm.steps_per_second,
-        "serial_completed": len(serial.completed),
-        "farm_completed": len(farm.completed),
-        "speedup": (
-            serial.wall_seconds / farm.wall_seconds
-            if farm.wall_seconds > 0
-            else float("inf")
-        ),
     }
 
 
@@ -797,11 +638,7 @@ def run_bench(scale: str = "default", seed: int = 0, scenario: str | None = None
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(SCALES)}")
     s = SCALES[scale]
     benchmarks = [
-        _bench_pcg_geometry_cache(s, seed),
-        _bench_pcg_warm_start(s, seed),
-        _bench_simulation_step(s, seed),
         _bench_nn_inference(s, seed),
-        _bench_farm_throughput(s, seed),
         _bench_perf_kernels(s, seed),
         _bench_tracing_overhead(s, seed),
         _bench_metrics_overhead(s, seed),

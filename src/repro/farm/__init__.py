@@ -2,15 +2,12 @@
 
 The execution layer above :class:`~repro.fluid.FluidSimulator`: declarative
 job specs, a fault-tolerant worker pool with per-job timeout and bounded
-retry, mid-run checkpoint/resume, graceful degradation to the exact PCG
-solver, and a batched NN inference service that stacks pressure
-projections from concurrent same-shape jobs into single CNN forward
-passes.  Entry points: build a list of :class:`JobSpec`, hand it to
+retry, mid-run checkpoint/resume, and graceful degradation to the exact
+PCG solver.  Entry points: build a list of :class:`JobSpec`, hand it to
 :class:`SimulationFarm.run`, read the :class:`FarmReport` — or use the
 ``repro farm`` CLI subcommand.
 """
 
-from .batching import BatchedInferenceService, BatchingSolverProxy
 from .checkpoint import load_checkpoint, save_checkpoint, sweep_orphans
 from .jobs import JobResult, JobSpec, SOLVER_CHOICES
 from .pool import BACKENDS, FarmReport, Pool, SimulationFarm
@@ -30,8 +27,6 @@ __all__ = [
     "build_solver",
     "InjectedWorkerFailure",
     "SimulationDiverged",
-    "BatchedInferenceService",
-    "BatchingSolverProxy",
     "save_checkpoint",
     "load_checkpoint",
     "FleetView",

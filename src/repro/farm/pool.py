@@ -1,7 +1,7 @@
 """The simulation farm: concurrent job execution with fault tolerance.
 
 :class:`SimulationFarm` runs a list of :class:`~repro.farm.jobs.JobSpec`
-through one of three backends:
+through one of two backends:
 
 ``process`` (default)
     One OS process per running job, up to ``workers`` slots.  The parent
@@ -11,14 +11,9 @@ through one of three backends:
     latest checkpoint.  Worker registries are shipped back inside each
     :class:`~repro.farm.jobs.JobResult` and merged into the farm profile.
 
-``batched``
-    One thread per job inside this process, NN jobs sharing one
-    :class:`~repro.farm.batching.BatchedInferenceService` so concurrent
-    pressure projections run as stacked CNN forward passes.
-
 ``serial``
-    Jobs run inline one after another — the baseline the farm's throughput
-    is measured against (``repro bench``, ``BENCH_pr2.json``).
+    Jobs run inline one after another — the in-process reference the
+    farm tests compare the process backend against.
 
 In-run failures (NN raising, divergence, injected faults) never reach the
 pool: :func:`~repro.farm.worker.run_job` degrades those to exact PCG
@@ -45,11 +40,11 @@ from repro.trace import Tracer, set_tracer
 from .checkpoint import sweep_orphans
 from .jobs import JobResult, JobSpec
 from .telemetry import FleetView
-from .worker import _WORKER_ENV, build_solver, run_job
+from .worker import _WORKER_ENV, run_job
 
 __all__ = ["FarmReport", "SimulationFarm", "Pool", "BACKENDS"]
 
-BACKENDS = ("process", "batched", "serial")
+BACKENDS = ("process", "serial")
 
 
 @dataclass
@@ -156,7 +151,7 @@ class SimulationFarm:
     workers:
         Concurrent job slots (default: CPU count, capped at 8).
     backend:
-        ``"process"``, ``"batched"`` or ``"serial"`` (see module docstring).
+        ``"process"`` or ``"serial"`` (see module docstring).
     checkpoint_dir:
         Directory for job checkpoints.  Defaults to a temporary directory
         that lives for the duration of one :meth:`run` call — long enough
@@ -165,8 +160,6 @@ class SimulationFarm:
         Farm-level registry all per-worker profiles are merged into.
     poll_seconds:
         Parent supervision cadence of the process backend.
-    batch_max_wait:
-        ``max_wait`` of the batched backend's inference service.
     on_event:
         Optional callback receiving every worker telemetry event (plain
         dict) as it arrives; the farm's own :attr:`fleet` view is always
@@ -187,7 +180,6 @@ class SimulationFarm:
         checkpoint_dir: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
         poll_seconds: float = 0.02,
-        batch_max_wait: float = 0.05,
         on_event=None,
         trace: bool = False,
         heartbeat_seconds: float = 0.5,
@@ -201,7 +193,6 @@ class SimulationFarm:
         self.checkpoint_dir = checkpoint_dir
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.poll_seconds = poll_seconds
-        self.batch_max_wait = batch_max_wait
         self.on_event = on_event
         self.trace = trace
         self.heartbeat_seconds = heartbeat_seconds
@@ -238,7 +229,6 @@ class SimulationFarm:
         try:
             runner = {
                 "process": self._run_process,
-                "batched": self._run_batched,
                 "serial": self._run_serial,
             }[self.backend]
             results = runner(jobs, str(ckpt_dir))
@@ -250,7 +240,7 @@ class SimulationFarm:
             self.metrics.merge(r.metrics)
             if r.trace:
                 # process-backend workers ship their private tracer back;
-                # serial/batched workers already wrote into self.tracer
+                # serial workers already wrote into self.tracer
                 self.tracer.merge(r.trace)
         self.metrics.inc("farm/jobs", len(results))
         self.metrics.inc("farm/jobs_completed", sum(1 for r in results if r.ok))
@@ -397,83 +387,6 @@ class SimulationFarm:
                     reap(job_id, spec, attempt, "timeouts")
         out_queue.close()
         return list(results.values())
-
-    # ------------------------------------------------------------------
-    def _run_batched(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
-        from repro.models import NNProjectionSolver, tompson_arch
-
-        from .batching import BatchedInferenceService, BatchingSolverProxy
-
-        nn_jobs = [j for j in jobs if j.solver == "nn"]
-        service: BatchedInferenceService | None = None
-        if nn_jobs:
-            # the shared model: seeded by the first NN job so a single-job
-            # batched farm matches its serial counterpart exactly
-            first = nn_jobs[0]
-            shared = build_solver(first, "nn", self.metrics)
-            assert isinstance(shared, NNProjectionSolver)
-            service = BatchedInferenceService(
-                shared, max_wait=self.batch_max_wait, metrics=self.metrics
-            )
-
-        registered: dict[str, bool] = {}
-
-        def leave_service(spec: JobSpec) -> None:
-            if service is not None and registered.get(spec.job_id):
-                registered[spec.job_id] = False
-                service.unregister()
-
-        def solver_factory(spec: JobSpec, kind: str, metrics: MetricsRegistry):
-            if kind == "nn" and service is not None:
-                return BatchingSolverProxy(service)
-            leave_service(spec)  # degraded away from NN: stop batching on this job
-            return build_solver(spec, kind, metrics)
-
-        results: list[JobResult | None] = [None] * len(jobs)
-        sem = threading.Semaphore(self.workers)
-
-        def runner(i: int, spec: JobSpec) -> None:
-            with sem:
-                # register only once actually running, so queued jobs
-                # don't make live batches wait for them
-                if service is not None and spec.solver == "nn":
-                    registered[spec.job_id] = True
-                    service.register()
-                m = MetricsRegistry()
-                try:
-                    results[i] = run_job(
-                        spec,
-                        ckpt_dir,
-                        metrics=m,
-                        solver_factory=solver_factory,
-                        on_event=self._dispatch_event,
-                        heartbeat_seconds=self.heartbeat_seconds,
-                    )
-                except BaseException as exc:
-                    results[i] = JobResult(
-                        job_id=spec.job_id,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        metrics=m.to_dict(),
-                    )
-                finally:
-                    leave_service(spec)
-
-        threads = [
-            threading.Thread(target=runner, args=(i, spec), daemon=True)
-            for i, spec in enumerate(jobs)
-        ]
-        # job threads share the farm tracer via the process default; the
-        # tracer's per-thread buffers keep concurrent spans lock-free
-        previous = set_tracer(self.tracer)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            set_tracer(previous)
-        return [r for r in results if r is not None]
 
 
 # ----------------------------------------------------------------------

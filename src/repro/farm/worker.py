@@ -124,17 +124,12 @@ def run_job(
     checkpoint_dir: str | Path | None = None,
     metrics: MetricsRegistry | None = None,
     attempt: int = 0,
-    solver_factory=None,
     on_event=None,
     heartbeat_seconds: float = 0.5,
     attach_trace: bool = False,
     cancel=None,
 ) -> JobResult:
     """Execute one job to completion (or bounded failure) and report it.
-
-    ``solver_factory(spec, kind, metrics)``, when given, replaces
-    :func:`build_solver` — the batched backend uses it to hand NN jobs a
-    proxy that routes solves through the shared inference service.
 
     ``on_event(dict)``, when given, receives the job's telemetry stream:
     ``resume`` when picking up a checkpoint, ``job_start``, throttled
@@ -146,8 +141,8 @@ def run_job(
 
     ``attach_trace=True`` ships the process tracer's snapshot inside
     ``JobResult.trace``.  Only the process backend sets it — its workers
-    own a private per-process tracer, while the serial/batched backends
-    share one farm tracer whose data would be duplicated per job.
+    own a private per-process tracer, while the serial backend and the
+    serve pool share one tracer whose data would be duplicated per job.
 
     ``cancel``, when given, is a :class:`threading.Event`-like object
     checked between steps: once set, the job stops at the next step
@@ -155,7 +150,6 @@ def run_job(
     cancellation for already-running jobs).
     """
     m = metrics if metrics is not None else MetricsRegistry()
-    factory = solver_factory if solver_factory is not None else build_solver
     ckpt = _checkpoint_path(spec, checkpoint_dir)
     t0 = time.perf_counter()
     tr = get_tracer()
@@ -177,7 +171,7 @@ def run_job(
     def make_sim(kind: str) -> FluidSimulator:
         sspec = parse_scenario(spec.scenario).with_defaults(grid=spec.grid_size)
         grid, driver = build_scenario(sspec, rng=spec.seed)
-        solver = driver.wrap_solver(factory(spec, kind, m))
+        solver = driver.wrap_solver(build_solver(spec, kind, m))
         overrides = getattr(driver, "config_overrides", {})
         config = SimulationConfig(**overrides) if overrides else None
         return FluidSimulator(grid, solver, driver, config=config, metrics=m)

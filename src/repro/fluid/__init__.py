@@ -11,7 +11,7 @@ from .operators import divergence, pressure_gradient_update, apply_laplacian
 from .laplacian import PoissonSystem, build_poisson_system, stencil_arrays, poisson_rhs
 from .solver_api import MaskKeyedCache
 from .kernels import GeometryKernels, MICTriangularFactor, spectral_eligible
-from .pcg import JacobiSolver, MIC0Preconditioner, PCGSolver, SolveResult, jacobi_solve
+from .pcg import JacobiSolver, MIC0Preconditioner, PCGSolver, SolveResult
 from .nn_pcg import NNPCGSolver
 from .spectral import SpectralSolver
 from .multigrid import MultigridSolver, build_hierarchy, vcycle
@@ -77,7 +77,6 @@ __all__ = [
     "NNPCGSolver",
     "JacobiSolver",
     "SolveResult",
-    "jacobi_solve",
     "SpectralSolver",
     "MultigridSolver",
     "build_hierarchy",

@@ -234,54 +234,22 @@ class NNPCGSolver(PressureSolver):
                 layer.reset_workspace()
             stack.extend(getattr(layer, "layers", []))
 
-    def ensure_capacity(self, shape: tuple[int, int], capacity: int = 1) -> None:
-        """Pre-compile the inference plans for every pyramid level of ``shape``.
-
-        Mirrors :meth:`repro.models.NNProjectionSolver.ensure_capacity` so
-        call sites that pre-warm plans before the hot loop (farm workers,
-        benches) can treat both NN solvers uniformly.  Level shapes depend
-        only on the grid shape, so no mask is needed.
-        """
-        metrics = self._metrics if self._metrics is not None else get_metrics()
-        shape = tuple(shape)
-        while True:
-            self._workspace(shape, max(1, int(capacity)))
-            self._ensure_plan(shape, metrics)
-            ny, nx = shape
-            if ny % 2 or nx % 2 or min(ny, nx) // 2 < self.min_level:
-                break
-            shape = (ny // 2, nx // 2)
-
-    # ------------------------------------------------------------------
-    def _workspace(self, shape: tuple[int, int], capacity: int = 1) -> np.ndarray:
-        x = self._xs.get(shape)
-        if x is None or x.shape[0] < capacity:
-            x = self._xs[shape] = np.empty(
-                (capacity, 2) + shape, dtype=np.float64
-            )
-        return x
-
     def _ensure_plan(self, shape, metrics):
         """Compiled plan for ``(2,) + shape``, or None on plan fallback."""
         from repro.nn import InferencePlan, PlanError
 
         if self._plan_unsupported:
             return None
-        shape = tuple(shape)
         plan = self._plans.get(shape)
-        capacity = self._xs[shape].shape[0] if shape in self._xs else 1
-        if plan is not None and plan.capacity >= capacity:
+        if plan is not None:
             return plan
         tracer = get_tracer()
         build_started = time.perf_counter()
         try:
             with metrics.timer(f"solver/{self.name}/plan_build"):
-                with tracer.span("plan_build", solver=self.name, capacity=capacity) as bsp:
+                with tracer.span("plan_build", solver=self.name) as bsp:
                     plan = InferencePlan(
-                        self.model,
-                        (2,) + shape,
-                        batch_capacity=capacity,
-                        dtype=_PRECISIONS[self.precision],
+                        self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
                     )
         except PlanError:
             self._plan_unsupported = True
@@ -304,7 +272,6 @@ class NNPCGSolver(PressureSolver):
             "plan_build",
             solver=self.name,
             shape=list(shape),
-            capacity=capacity,
             precision=self.precision,
         )
         return plan
@@ -316,14 +283,16 @@ class NNPCGSolver(PressureSolver):
         if not np.isfinite(sigma) or sigma < _TINY:
             return np.zeros_like(r)
         shape = r.shape
-        x = self._workspace(shape)
+        x = self._xs.get(shape)
+        if x is None:
+            x = self._xs[shape] = np.empty((1, 2) + shape, dtype=np.float64)
         np.divide(r, sigma, out=x[0, 0])
         x[0, 1] = level.geo
         plan = self._ensure_plan(shape, metrics)
         if plan is None:
-            out = self.model.forward(x[:1], training=False)
+            out = self.model.forward(x, training=False)
         else:
-            out = plan.run(x[:1])
+            out = plan.run(x)
         q = out[0, 0].astype(np.float64, copy=False) * sigma
         return np.where(fluid, q, 0.0)
 

@@ -48,7 +48,6 @@ __all__ = [
     "MIC0Preconditioner",
     "PCGSolver",
     "JacobiSolver",
-    "jacobi_solve",
 ]
 
 
@@ -272,10 +271,6 @@ class PCGSolver(PressureSolver):
         )
         return result
 
-    # kept under its historical name for callers that dispatched on it
-    def _solve(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
-        return self._solve_reference(b, solid, metrics)
-
     def _solve_kernel(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
         """Flat fluid-vector CG: CSR matvec + SuperLU triangular sweeps."""
         kern: GeometryKernels = self._kernels_cache.get(
@@ -410,9 +405,8 @@ class PCGSolver(PressureSolver):
 class JacobiSolver(PressureSolver):
     """Weighted-Jacobi iteration on the Poisson system (cheap baseline).
 
-    Class-form of the historical :func:`jacobi_solve` helper, conforming to
-    the :class:`~repro.fluid.solver_api.PressureSolver` protocol.  Sweeps run
-    on flat fluid vectors through the cached
+    Conforms to the :class:`~repro.fluid.solver_api.PressureSolver`
+    protocol.  Sweeps run on flat fluid vectors through the cached
     :class:`~repro.fluid.kernels.GeometryKernels` (CSR matvec + the compiled
     degree field), with all geometry invariants hoisted out of the loop.
     """
@@ -471,9 +465,3 @@ class JacobiSolver(PressureSolver):
             p, it, bool(self.tol and rnorm <= self.tol), rnorm, 12.0 * it * float(nf)
         )
 
-
-def jacobi_solve(
-    b: np.ndarray, solid: np.ndarray, iterations: int = 200, tol: float = 0.0
-) -> SolveResult:
-    """Functional wrapper around :class:`JacobiSolver` (kept for back-compat)."""
-    return JacobiSolver(iterations=iterations, tol=tol).solve(b, solid)

@@ -34,7 +34,6 @@ sprawl is deprecated in favour of ``build_scenario(ScenarioSpec(...))``.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -714,47 +713,15 @@ def _scenario_sloshing_tank(params: dict, rng: np.random.Generator):
 # ----------------------------------------------------------------------
 # legacy entry point
 # ----------------------------------------------------------------------
-_UNSET = object()
-
-
 def make_smoke_plume(
     nx: int,
     ny: int,
     rng: "np.random.Generator | int | None" = None,
-    with_obstacles: "bool | object" = _UNSET,
-    turbulence_magnitude: "float | None | object" = _UNSET,
-    n_objects: "int | None | object" = _UNSET,
 ) -> tuple[MACGrid2D, SmokeSource]:
     """Build a randomised smoke-plume input problem (legacy entry point).
 
-    The keyword sprawl (``with_obstacles``/``turbulence_magnitude``/
-    ``n_objects``) is deprecated: build the scenario through the registry
-    instead — ``build_scenario(ScenarioSpec("smoke_plume", grid=n,
-    with_obstacles=..., turbulence=..., n_objects=...), rng=seed)`` — which
-    produces a bit-for-bit identical grid for the same rng.
+    To set obstacles or turbulence, build the scenario through the registry
+    instead: ``build_scenario(ScenarioSpec("smoke_plume", grid=n,
+    with_obstacles=..., turbulence=..., n_objects=...), rng=seed)``.
     """
-    sprawl = {
-        key: value
-        for key, value in (
-            ("with_obstacles", with_obstacles),
-            ("turbulence_magnitude", turbulence_magnitude),
-            ("n_objects", n_objects),
-        )
-        if value is not _UNSET
-    }
-    if sprawl:
-        warnings.warn(
-            "make_smoke_plume's keyword arguments are deprecated; use "
-            "build_scenario(ScenarioSpec('smoke_plume', grid=..., "
-            "with_obstacles=..., turbulence=..., n_objects=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _build_smoke_plume(
-        nx,
-        ny,
-        rng=rng,
-        with_obstacles=sprawl.get("with_obstacles", True),
-        turbulence_magnitude=sprawl.get("turbulence_magnitude"),
-        n_objects=sprawl.get("n_objects"),
-    )
+    return _build_smoke_plume(nx, ny, rng=rng)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -291,23 +290,6 @@ class FluidSimulator:
             key=lambda e: e.step,
         )
         return np.array([e.attrs["value"] for e in events], dtype=np.float64)
-
-    @property
-    def _restored_divnorms(self) -> np.ndarray:
-        """Deprecated shim over the ``divnorm`` events of :attr:`timeline`.
-
-        Pre-PR5 code read this private array directly; the step-event
-        timeline is now the source of truth.  Use
-        :attr:`full_divnorm_history` (or filter :attr:`timeline`).
-        """
-        warnings.warn(
-            "FluidSimulator._restored_divnorms is deprecated; read the "
-            "'divnorm' events of FluidSimulator.timeline (or "
-            "full_divnorm_history) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._restored_divnorm_values()
 
     @property
     def full_divnorm_history(self) -> np.ndarray:

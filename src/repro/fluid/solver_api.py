@@ -50,7 +50,7 @@ class MaskKeyedCache:
     Pressure solves within one simulation share a geometry step after step,
     so the default one-deep cache captures virtually all reuse while staying
     O(1) in memory.  Callers that interleave several geometries — e.g. the
-    batched NN solver serving a whole farm — pass ``capacity > 1`` for an
+    level-set solver and the NN-PCG solver — pass ``capacity > 1`` for an
     LRU-evicting multi-entry cache.  Hits and misses are counted as
     ``cache/<name>/hit|miss`` in the supplied metrics registry.
 

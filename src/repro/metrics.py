@@ -141,8 +141,8 @@ class MetricsRegistry:
         # users pay nothing and snapshots without labels stay byte-stable
         self._families = None
         # scope prefixes are *thread-local*: concurrent threads (e.g. the
-        # batched farm backend, BatchedInferenceService leaders) each keep
-        # their own stack, so scopes never interleave across threads
+        # serve tier's pool workers) each keep their own stack, so scopes
+        # never interleave across threads
         self._scope_tls = threading.local()
 
     @property

@@ -63,8 +63,8 @@ class Conv2d(Layer):
         The buffers are sized by *capacity* along the batch axis: a call
         with a smaller batch than a previous one reuses the existing
         allocation through a leading-axis view, so batched callers whose
-        batch shrinks over time (e.g. farm jobs finishing at different
-        steps) never reallocate.
+        batch shrinks over time (e.g. the short final minibatch of an
+        evaluation pass) never reallocate.
         """
         n, c, h, w = x.shape
         k = self.kernel

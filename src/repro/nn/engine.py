@@ -16,9 +16,8 @@ allocations:
 * **workspace arena** — one flat buffer spanning every layer's workspaces
   (conv pad/column/accumulator buffers, pooling/upsampling outputs,
   activation buffers), carved into views at build time.  Buffers are sized
-  by *capacity* along the batch axis, so shrinking batches (farm jobs
-  finishing at different steps) run through leading-axis views of the same
-  memory.
+  by *capacity* along the batch axis, so shrinking batches run through
+  leading-axis views of the same memory.
 * **fused conv epilogue** — convolution, bias add and the directly
   following activation execute as one GEMM epilogue (``matmul`` into the
   arena, in-place bias add, in-place activation) instead of three full

@@ -97,7 +97,7 @@ class TestFarmCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["completed"] == 2
 
-    def test_batched_backend_with_nn_jobs(self, capsys):
+    def test_serial_backend_with_nn_jobs(self, capsys):
         code = main(
             [
                 "farm",
@@ -105,11 +105,11 @@ class TestFarmCLI:
                 "--steps", "2",
                 "--jobs", "3",
                 "--solver", "nn",
-                "--backend", "batched",
+                "--backend", "serial",
                 "--json",
             ]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["completed"] == 3
-        assert report["metrics"]["counters"]["farm/batch/requests"] == 6.0
+        assert report["metrics"]["counters"]["sim/solver/nn/solves"] == 6.0

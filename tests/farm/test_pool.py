@@ -174,11 +174,9 @@ class TestProcessBackend:
         assert report.results[0].solver_used == "pcg"
         assert report.metrics.counter("farm/degradations") == 1
 
-
-class TestBatchedBackend:
-    def test_batched_nn_jobs_match_serial(self):
-        # same seed -> same untrained model -> identical physics; the
-        # batched backend must reproduce serial results exactly
+    def test_nn_jobs_match_serial(self):
+        # same seed -> same untrained model -> identical physics; forked
+        # workers must reproduce the in-process serial results exactly
         def jobs():
             return [
                 JobSpec(job_id=f"nn-{i}", grid_size=16, seed=21, steps=3,
@@ -187,38 +185,12 @@ class TestBatchedBackend:
             ]
 
         serial = SimulationFarm(backend="serial").run(jobs())
-        farm = SimulationFarm(workers=3, backend="batched")
-        batched = farm.run(jobs())
-        assert len(batched.completed) == 3
-        for s, b in zip(serial.results, batched.results):
-            assert b.final_divnorm == s.final_divnorm
-            assert b.cum_divnorm == pytest.approx(s.cum_divnorm)
-        # inference actually went through the stacked service
-        assert batched.metrics.counter("farm/batch/dispatches") >= 1
-        assert batched.metrics.counter("farm/batch/requests") == 9
-        assert batched.metrics.counter("solver/nn/batch_solves") >= 1
-
-    def test_mixed_solvers_run_and_only_nn_batches(self):
-        jobs = [
-            JobSpec(job_id="pcg-0", grid_size=16, seed=30, steps=2),
-            JobSpec(job_id="nn-0", grid_size=16, seed=31, steps=2, solver="nn",
-                    solver_params={"passes": 1}),
-        ]
-        report = SimulationFarm(workers=2, backend="batched").run(jobs)
-        assert len(report.completed) == 2
-        assert report.metrics.counter("farm/batch/requests") == 2
-
-    def test_batched_degradation_unregisters(self):
-        jobs = [
-            JobSpec(job_id="nn-a", grid_size=16, seed=40, steps=3, solver="nn",
-                    solver_params={"passes": 1}, fail_at_step=1),
-            JobSpec(job_id="nn-b", grid_size=16, seed=40, steps=3, solver="nn",
-                    solver_params={"passes": 1}),
-        ]
-        report = SimulationFarm(workers=2, backend="batched", batch_max_wait=0.02).run(jobs)
-        assert len(report.completed) == 2
-        degraded = next(r for r in report.results if r.job_id == "nn-a")
-        assert degraded.degraded and degraded.solver_used == "pcg"
+        process = SimulationFarm(workers=3, backend="process").run(jobs())
+        assert len(process.completed) == 3
+        for s, p in zip(serial.results, process.results):
+            assert p.solver_used == s.solver_used == "nn"
+            assert p.final_divnorm == s.final_divnorm
+            assert p.cum_divnorm == s.cum_divnorm
 
 
 class TestFarmReport:

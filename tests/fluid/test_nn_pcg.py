@@ -217,24 +217,26 @@ class TestAConjugacy:
 
 
 class TestPlanPrewarm:
-    def test_ensure_capacity_builds_every_pyramid_level(self, net):
+    def test_solve_builds_every_pyramid_level(self, net):
         metrics = MetricsRegistry()
         solver = NNPCGSolver(net, metrics=metrics)
-        solver.ensure_capacity((32, 32))
+        solid = plume_solid(32, 0)
+        solver.solve(compatible_rhs(solid, 1), solid)
         # 32 -> 16 -> 8 (min_level=8 stops further coarsening)
         assert metrics.counter("solver/nn_pcg/plan_builds") == 3
 
-        solid = plume_solid(32, 0)
-        solver.solve(compatible_rhs(solid, 1), solid)
-        assert metrics.counter("solver/nn_pcg/plan_builds") == 3  # all pre-warmed
+        solver.solve(compatible_rhs(solid, 2), solid)
+        assert metrics.counter("solver/nn_pcg/plan_builds") == 3  # all reused
 
     def test_reset_drops_plans(self, net):
         metrics = MetricsRegistry()
         solver = NNPCGSolver(net, metrics=metrics)
-        solver.ensure_capacity((16, 16))
+        solid = plume_solid(32, 0)
+        b = compatible_rhs(solid, 1)
+        solver.solve(b, solid)
         built = metrics.counter("solver/nn_pcg/plan_builds")
         solver.reset()
-        solver.ensure_capacity((16, 16))
+        solver.solve(b, solid)
         assert metrics.counter("solver/nn_pcg/plan_builds") == 2 * built
 
 

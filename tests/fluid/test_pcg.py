@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fluid import (
+    JacobiSolver,
     MACGrid2D,
     MIC0Preconditioner,
     PCGSolver,
     apply_laplacian,
-    jacobi_solve,
     make_smoke_plume,
 )
 
@@ -158,14 +158,14 @@ class TestJacobiSolve:
     def test_reduces_residual(self):
         solid = plume_solid(16, 0)
         b = compatible_rhs(solid, 1)
-        res = jacobi_solve(b, solid, iterations=300)
+        res = JacobiSolver(iterations=300).solve(b, solid)
         r = b - apply_laplacian(res.pressure, solid)
         assert np.abs(r[~solid]).max() < np.abs(b[~solid]).max()
 
     def test_tolerance_stops_early(self):
         solid = plume_solid(16, 2)
         b = compatible_rhs(solid, 3)
-        res = jacobi_solve(b, solid, iterations=100000, tol=1e-2)
+        res = JacobiSolver(iterations=100000, tol=1e-2).solve(b, solid)
         assert res.converged
         assert res.iterations < 100000
 
@@ -173,5 +173,5 @@ class TestJacobiSolve:
         solid = plume_solid(32, 4)
         b = compatible_rhs(solid, 5)
         pcg = PCGSolver(tol=1e-9).solve(b, solid)
-        jac = jacobi_solve(b, solid, iterations=pcg.iterations)
+        jac = JacobiSolver(iterations=pcg.iterations).solve(b, solid)
         assert jac.residual_norm > pcg.residual_norm

@@ -182,13 +182,13 @@ class TestFluidSimulator:
         assert calls == [0, 1, 2, 3]
 
     def test_controller_can_swap_solver(self):
-        from repro.fluid import jacobi_solve
+        from repro.fluid import JacobiSolver
 
         class CheapSolver:
             name = "cheap"
 
             def solve(self, b, solid):
-                return jacobi_solve(b, solid, iterations=5)
+                return JacobiSolver(iterations=5).solve(b, solid)
 
         def switch(sim, rec):
             if rec.step == 1:

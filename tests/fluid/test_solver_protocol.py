@@ -12,7 +12,6 @@ from repro.fluid import (
     PCGSolver,
     PressureSolver,
     SolveResult,
-    jacobi_solve,
 )
 from repro.fluid.geometry import disc_mask
 from repro.fluid.laplacian import remove_nullspace
@@ -260,12 +259,3 @@ class TestWarmStart:
         assert res.iterations == cold.iterations
         np.testing.assert_array_equal(res.pressure, cold.pressure)
 
-
-class TestJacobiCompat:
-    def test_function_wrapper_matches_class(self):
-        solid = make_geometry()
-        b = make_rhs(solid)
-        via_fn = jacobi_solve(b, solid, iterations=80)
-        via_cls = JacobiSolver(iterations=80).solve(b, solid)
-        assert via_fn.iterations == via_cls.iterations
-        np.testing.assert_array_equal(via_fn.pressure, via_cls.pressure)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fluid import MACGrid2D, PCGSolver, apply_laplacian, make_smoke_plume
+from repro.metrics import MetricsRegistry
 from repro.models import NNProjectionSolver, YangModel, tompson_arch
 from repro.nn import Network
 
@@ -91,6 +92,52 @@ class TestNNProjectionSolver:
         f3 = NNProjectionSolver(net, passes=3).solve(b, g.solid).flops
         assert f3 == pytest.approx(3 * f1)
 
+    def test_solve_counts_and_caches_geometry(self):
+        g, _ = make_smoke_plume(16, 16, rng=3)
+        b = np.where(g.fluid, np.random.default_rng(103).standard_normal(g.shape), 0.0)
+        metrics = MetricsRegistry()
+        solver = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2, metrics=metrics)
+        res = solver.solve(b, g.solid)
+        assert res.iterations == 2
+        assert metrics.counter("solver/nn/solves") == 1
+        # the geometry channel is cached per solid mask
+        solver.solve(b, g.solid)
+        assert metrics.counter("cache/nn_geometry/hit") == 1
+
+    def test_all_solid_returns_zero_pressure(self):
+        g = MACGrid2D(16, 16)
+        g.add_solid(np.ones(g.shape, dtype=bool))
+        res = NNProjectionSolver(tompson_arch(4).build(rng=0)).solve(
+            np.zeros(g.shape), g.solid
+        )
+        assert res.converged
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.pressure, 0.0)
+
+    def test_fp64_solve_matches_reference_loop(self):
+        """``solve`` is bit-for-bit the plain one-sample defect-correction loop."""
+        from repro.fluid.laplacian import remove_nullspace
+
+        g, _ = make_smoke_plume(20, 20, rng=7)
+        solid, fluid = g.solid, g.fluid
+        b = np.where(fluid, np.random.default_rng(8).standard_normal(solid.shape), 0.0)
+        model = tompson_arch(4).build(rng=0)
+
+        B = remove_nullspace(b, solid)
+        P = np.zeros_like(b)
+        R = B
+        for _ in range(2):
+            sigma = float(R[fluid].std())
+            x = np.stack([R / sigma, solid.astype(np.float64)])[None]
+            dp = model.forward(x, training=False)[0, 0] * sigma
+            P = P + np.where(fluid, dp, 0.0)
+            R = remove_nullspace(B - apply_laplacian(P, solid), solid)
+
+        res = NNProjectionSolver(model, passes=2).solve(b, solid)
+        np.testing.assert_array_equal(res.pressure, remove_nullspace(P, solid))
+        assert res.residual_norm == float(np.abs(R[fluid]).max())
+        assert res.iterations == 2
+
     def test_resource_usage(self):
         net = tompson_arch(4).build(rng=0)
         solver = NNProjectionSolver(net, passes=2)
@@ -136,8 +183,6 @@ class TestPrecision:
         assert r32.residual_norm == pytest.approx(r64.residual_norm, rel=1e-3, abs=1e-4)
 
     def test_plan_compiled_once_and_reused(self):
-        from repro.metrics import MetricsRegistry
-
         m = MetricsRegistry()
         g, _ = make_smoke_plume(16, 16, rng=5)
         solver = NNProjectionSolver(tompson_arch(4).build(rng=0), metrics=m)
@@ -147,8 +192,6 @@ class TestPrecision:
         assert solver._plan.workspace_reuses == 3 * solver.passes
 
     def test_unplannable_model_falls_back_to_legacy_forward(self):
-        from repro.metrics import MetricsRegistry
-
         m = MetricsRegistry()
         g, _ = make_smoke_plume(16, 16, rng=1)
         b = compatible_rhs(g.solid, 2)
@@ -157,20 +200,6 @@ class TestPrecision:
         assert res.converged
         assert m.counter("solver/nn/plan_unsupported") == 1
         assert solver._plan is None
-
-    def test_ensure_capacity_prebuilds_plan_for_batch(self):
-        from repro.metrics import MetricsRegistry
-
-        m = MetricsRegistry()
-        g, _ = make_smoke_plume(16, 16, rng=5)
-        solver = NNProjectionSolver(tompson_arch(4).build(rng=0), metrics=m)
-        solver.ensure_capacity(g.shape, 4)
-        assert solver._plan is not None and solver._plan.capacity == 4
-        # smaller batches ride the same plan, no rebuild
-        solver.solve_many(
-            [compatible_rhs(g.solid, s) for s in range(2)], [g.solid] * 2
-        )
-        assert m.counter("solver/nn/plan_builds") == 1
 
 
 class TestYangModel:

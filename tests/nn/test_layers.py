@@ -123,6 +123,26 @@ class TestConv2d:
             conv.backward(np.zeros((1, 1, 4, 4)))
 
 
+class TestConvWorkspaceCapacity:
+    def test_shrinking_batch_reuses_workspace(self):
+        conv = Conv2d(2, 4, rng=0)
+        x8 = np.random.default_rng(0).standard_normal((8, 2, 12, 12))
+        out8 = conv.forward(x8, training=False)
+        reuses = conv.workspace_reuses
+        out3 = conv.forward(x8[:3], training=False)
+        assert conv.workspace_reuses == reuses + 1  # no reallocation
+        np.testing.assert_allclose(out3, out8[:3], atol=1e-12)
+
+    def test_growing_batch_reallocates_correctly(self):
+        conv = Conv2d(2, 4, rng=0)
+        x2 = np.random.default_rng(1).standard_normal((2, 2, 12, 12))
+        conv.forward(x2, training=False)
+        x5 = np.random.default_rng(2).standard_normal((5, 2, 12, 12))
+        out5 = conv.forward(x5, training=False)
+        ref = Conv2d(2, 4, rng=0).forward(x5, training=False)
+        np.testing.assert_array_equal(out5, ref)
+
+
 class TestDense:
     def test_affine(self):
         d = Dense(3, 2, rng=0)

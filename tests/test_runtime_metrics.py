@@ -80,9 +80,9 @@ class TestScopes:
     def test_scopes_are_thread_local(self):
         """Two threads' scopes must not interleave on a shared registry.
 
-        Regression (PR5): the prefix stack was a plain instance list, so a
-        batched-backend worker thread entering ``scope`` mid-block could
-        prepend its prefix to another thread's metric names.
+        Regression: the prefix stack was a plain instance list, so a
+        worker thread entering ``scope`` mid-block could prepend its prefix
+        to another thread's metric names.
         """
         m = MetricsRegistry()
         barrier = threading.Barrier(2, timeout=10)
