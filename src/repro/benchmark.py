@@ -12,11 +12,12 @@ Benchmarks
     The compiled :class:`repro.nn.InferencePlan` vs. the legacy
     layer-by-layer forward on one fixed 128x128 input (the paper's
     baseline-cost workload; grid fixed across scales like
-    ``perf_kernels``).  Reports the fp64 plan (bitwise-identical contract,
-    certified by ``fp64_bitwise_identical``) and the fp32 shift-and-GEMM
-    plan, whose ``fp32_speedup`` over the legacy forward is the headline
-    number and whose workspace-reuse counter certifies zero steady-state
-    allocations.
+    ``perf_kernels``).  Both plans run the NHWC shift-and-GEMM
+    convolution.  Reports the fp64 plan (``fp64_plan_speedup`` over the
+    legacy forward; ``fp64_max_abs_err`` is its max deviation from the
+    legacy output, summation-order rounding only) and the fp32 plan, whose
+    ``fp32_speedup`` over the legacy forward is the headline number and
+    whose workspace-reuse counter certifies zero steady-state allocations.
 ``perf_kernels``
     The geometry-compiled kernel PCG backend vs. the matrix-free reference
     backend on one fixed 128x128 MIC(0) solve (the paper's baseline-cost
@@ -158,10 +159,10 @@ def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> di
 
     The grid is *fixed* across scales (only the repeat count varies) so
     ``plan_fp32_seconds`` is directly comparable between the committed
-    default-scale baseline and CI smoke runs.  ``fp64_bitwise_identical``
-    certifies the fp64 plan's bit-for-bit contract; the fp32 plan's
-    workspace counter certifies that every timed pass ran entirely inside
-    the pre-allocated arena.
+    default-scale baseline and CI smoke runs.  ``fp64_max_abs_err`` and
+    ``fp32_max_abs_err`` are each plan's max |plan - legacy| on the same
+    input; the fp32 plan's workspace counter certifies that every timed
+    pass ran entirely inside the pre-allocated arena.
     """
     from repro.models import tompson_arch
     from repro.nn import InferencePlan
@@ -173,7 +174,7 @@ def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> di
     plan32 = InferencePlan(net, (2, grid, grid), batch_capacity=1, dtype=np.float32)
 
     ref = net.forward(x, training=False)  # warm the legacy workspaces
-    identical = bool(np.array_equal(plan64.run(x), ref))
+    fp64_err = float(np.abs(plan64.run(x) - ref).max())
     fp32_err = float(np.abs(plan32.run(x).astype(np.float64) - ref).max())
     reuses_before = plan32.workspace_reuses
 
@@ -188,7 +189,7 @@ def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> di
         "plan_fp32_seconds": fp32,
         "fp32_speedup": legacy / fp32 if fp32 > 0 else float("inf"),
         "fp64_plan_speedup": legacy / fp64 if fp64 > 0 else float("inf"),
-        "fp64_bitwise_identical": identical,
+        "fp64_max_abs_err": fp64_err,
         "fp32_max_abs_err": fp32_err,
         "workspace_reuses": plan32.workspace_reuses - reuses_before,
         "arena_bytes_fp32": plan32.arena_bytes,

@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--precision", choices=["fp32", "fp64"], default="fp64",
         help="NN inference precision (nn/nn-pcg solvers only): fp32 compiles "
-        "the fast single-precision plan, fp64 stays bitwise-identical to the "
-        "legacy forward",
+        "the single-precision plan, fp64 the double-precision one",
     )
     sim.add_argument(
         "--model", type=str, default=None, metavar="DIR",
@@ -190,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--precision", choices=["fp32", "fp64"], default="fp64",
-            help="NN inference precision for nn jobs (fp64 = bitwise-identical "
-            "default, fp32 = fast single-precision plan)",
+            help="NN inference precision for nn jobs (fp64 = double-precision "
+            "default, fp32 = single-precision plan)",
         )
         p.add_argument(
             "--backend", choices=["process", "serial"], default="process",
@@ -642,8 +641,8 @@ def _build_farm_specs(args) -> list:
     if args.solver == "nn" and args.precision != "fp64":
         solver_params["precision"] = args.precision
     elif args.solver == "nn-pcg":
-        # the flag's fp64 default means "bitwise replay" here too, overriding
-        # the solver's own fp32 fast-path default
+        # the flag's fp64 default applies here too, overriding the solver's
+        # own fp32 default
         solver_params["precision"] = args.precision
     model_dir = args.model if args.solver in ("nn", "nn-pcg") else None
     return [

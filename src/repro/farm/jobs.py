@@ -23,12 +23,15 @@ from pathlib import Path
 __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 
 #: version field folded into every :meth:`JobSpec.cache_key`; bump it when
-#: the semantic-field set or the canonicalisation changes, so stale cache
-#: entries and checkpoints can never be mistaken for current ones.
+#: the semantic-field set or the canonicalisation changes, or when the bits
+#: a spec computes change, so stale cache entries and checkpoints can never
+#: be mistaken for current ones.
 #: v2: ``model_dir`` is content-addressed (weights-manifest digest) instead
 #: of canonicalising the directory *path* — retraining in place now re-keys
 #: the job, and relocating identical weights keeps its key.
-CACHE_KEY_VERSION = 2
+#: v3: fp64 ``nn`` inference runs the shift-and-GEMM convolution instead of
+#: the im2col replay, so its results differ from v2's in the last bits.
+CACHE_KEY_VERSION = 3
 
 #: solver identifiers a JobSpec may request
 SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")

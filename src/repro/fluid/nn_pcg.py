@@ -168,8 +168,8 @@ class NNPCGSolver(PressureSolver):
         ``min_level`` >= the grid size disables the pyramid entirely,
         giving DCDM's original single-level direction.
     precision:
-        ``"fp32"`` (default) compiles the single-precision inference fast
-        path; ``"fp64"`` the bitwise-replay plan.  The CG state (``p``,
+        ``"fp32"`` (default) compiles the single-precision inference
+        plan; ``"fp64"`` the double-precision one.  The CG state (``p``,
         ``r``, all reductions) is always float64 — precision only affects
         the quality of proposed directions, never the residual accounting,
         so convergence checks stay PCG-grade.

@@ -24,14 +24,16 @@ allocations.  ``reset()`` drops both.
 
 Inference engine: forward passes run through a compiled
 :class:`repro.nn.InferencePlan` (built lazily per input shape, rebuilt
-only when the shape changes).  ``precision="fp64"`` (default)
-compiles the bitwise-replay plan, so results are bit-for-bit identical to
-the legacy layer-by-layer forward; ``precision="fp32"`` compiles the
-single-precision fast path — the normalised residual is cast to float32 on
-the way into the plan and the predicted pressure increment is cast back to
-float64 here at the solver boundary, so everything downstream (PCG-grade
-residual accounting, DivNorm histories, checkpoints) stays double.  Models
-outside the plan vocabulary fall back to the legacy forward (counted via
+only when the shape changes).  ``precision="fp64"`` (default) compiles a
+double-precision plan, whose output matches the legacy layer-by-layer
+forward to summation-order rounding (max deviation ``<= 1e-12`` relative
+to the output's magnitude) and is bitwise reproducible run to run;
+``precision="fp32"`` compiles the single-precision plan — the normalised
+residual is cast to float32 on the way into the plan and the predicted
+pressure increment is cast back to float64 here at the solver boundary,
+so everything downstream (PCG-grade residual accounting, DivNorm
+histories, checkpoints) stays double.  Models outside the plan vocabulary
+fall back to the legacy forward (counted via
 ``solver/<name>/plan_unsupported``).
 """
 

@@ -1,45 +1,42 @@
-"""Planned single-precision inference: :class:`InferencePlan`.
+"""Planned inference: :class:`InferencePlan`.
 
 The legacy inference path (``Network.forward(training=False)``) walks the
 layer list, and every layer allocates its own output — plus, for
-convolutions, materialises a float64 im2col column buffer and runs three
-separate array passes (GEMM, bias add, activation) over per-layer
-temporaries.  That cost structure is what the paper's surrogate competes
-against the exact solver with, and Wandel et al. ("Teaching the
-Incompressible Navier-Stokes Equations to Fast Neural Surrogate Models")
-show fp32 surrogates lose no usable pressure accuracy.
+convolutions, materialises an im2col column buffer and runs three separate
+array passes (GEMM, bias add, activation) over per-layer temporaries.
+That cost structure is what the paper's surrogate competes against the
+exact solver with, and Wandel et al. ("Teaching the Incompressible
+Navier-Stokes Equations to Fast Neural Surrogate Models") show fp32
+surrogates lose no usable pressure accuracy.
 
 An :class:`InferencePlan` is compiled once per (network, input shape, batch
 capacity, dtype) and then runs forward passes with zero steady-state
 allocations:
 
 * **workspace arena** — one flat buffer spanning every layer's workspaces
-  (conv pad/column/accumulator buffers, pooling/upsampling outputs,
-  activation buffers), carved into views at build time.  Buffers are sized
-  by *capacity* along the batch axis, so shrinking batches run through
+  (conv pad/accumulator buffers, pooling/upsampling outputs, activation
+  buffers), carved into views at build time.  Buffers are sized by
+  *capacity* along the batch axis, so shrinking batches run through
   leading-axis views of the same memory.
+* **shift-and-GEMM convolution** — activations live in NHWC layout
+  (channels contiguous) and each 2-D convolution runs as k² small channel
+  GEMMs over shifted views of the padded input, accumulated in place.
+  This skips the im2col gather entirely, which is latency-bound and
+  dominates the legacy forward.
 * **fused conv epilogue** — convolution, bias add and the directly
-  following activation execute as one GEMM epilogue (``matmul`` into the
-  arena, in-place bias add, in-place activation) instead of three full
-  array passes over separate temporaries.
-* **single-precision end to end** — weights are cast **once** at plan
-  build, inputs are cast on the way into the arena, and the caller casts
-  the pressure back to float64 at the solver boundary.
+  following activation execute as one GEMM epilogue (in-place bias add,
+  in-place activation on the accumulator) instead of three full array
+  passes over separate temporaries.
 
-Two compiled convolution strategies, selected by dtype:
-
-``float64`` — *bitwise replay*.  The plan reproduces exactly the arithmetic
-of the legacy layer-by-layer forward (same im2col operation sequence, same
-operand layouts, NCHW activations), so its output is bitwise identical and
-the default fp64 path through :class:`repro.models.NNProjectionSolver` is
-unchanged by construction.
-
-``float32`` — *shift-and-GEMM*.  Activations live in NHWC layout (channels
-contiguous) and each 2-D convolution runs as k² small channel GEMMs over
-shifted views of the padded input, accumulated in place.  This skips the
-im2col gather entirely — which is latency-bound and dominates the legacy
-forward — on top of halving every GEMM's and copy's byte traffic.  Output
-values differ from fp64 only by float32 rounding.
+The dtype decides only how weights and inputs are cast: weights **once**
+at plan build, inputs on the way into the arena.  ``float64`` sums the
+same products as the legacy forward in a different order, so its output
+matches to rounding (``max |plan - legacy| <= 1e-12 * max(1, max |legacy|)``)
+rather than bit for bit; ``float32`` also halves every GEMM's and copy's
+byte traffic and differs from fp64 by float32 rounding, and the caller
+casts the pressure back to float64 at the solver boundary.  Two plans of
+one network and dtype return bitwise-identical outputs, whatever their
+batch capacity or the batch size of a call.
 
 Networks containing layers outside the inference vocabulary (``Dense``,
 ``Flatten``, custom layers) raise :class:`PlanError` at build time; callers
@@ -51,7 +48,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.metrics import get_metrics
 from repro.trace import get_tracer
@@ -89,7 +85,7 @@ class _Slot:
 
 # ---------------------------------------------------------------------------
 # in-place activation epilogues (operation sequences mirror the legacy
-# activation layers exactly, so fp64 output stays bitwise identical)
+# activation layers)
 
 
 def _relu_inplace(a: np.ndarray) -> None:
@@ -129,53 +125,11 @@ def _activation_epilogue(layer):
 
 
 # ---------------------------------------------------------------------------
-# compiled steps — ``shape`` is always the logical (C, H, W); the physical
-# buffer layout (NCHW or NHWC) is the plan's choice
-
-
-class _ConvIm2colStep:
-    """fp64 convolution: bitwise replay of the legacy im2col forward."""
-
-    def __init__(self, conv: Conv2d, epilogue, in_slot: _Slot, shape, dtype):
-        c, h, w = shape
-        k = conv.kernel
-        pad = k // 2
-        f = conv.out_channels
-        self.kernel, self.pad, self.out_channels = k, pad, f
-        self.h, self.w, self.in_channels = h, w, c
-        self.epilogue = epilogue
-        # weights cast ONCE at plan build; wmat keeps the legacy (F, C*k*k)
-        # contiguous layout so the GEMM sees identical operand strides
-        self.wmat = np.ascontiguousarray(conv.weight.value.reshape(f, -1).astype(dtype))
-        self.bias = conv.bias.value.astype(dtype)
-        self.in_slot = in_slot
-        self.pad_slot = _Slot((0, c, h + 2 * pad, w + 2 * pad), zero=True)
-        self.cols_slot = _Slot((0, h * w, c * k * k))
-        self.gemm_slot = _Slot((0, h * w, f))
-        self.out_slot = _Slot((0, f, h, w))
-
-    def slots(self) -> list[_Slot]:
-        return [self.pad_slot, self.cols_slot, self.gemm_slot, self.out_slot]
-
-    def run(self, n: int) -> None:
-        k, pad, h, w, c, f = (
-            self.kernel, self.pad, self.h, self.w, self.in_channels, self.out_channels,
-        )
-        xp = self.pad_slot.array[:n]
-        xp[:, :, pad : pad + h, pad : pad + w] = self.in_slot.array[:n]
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))
-        cols = self.cols_slot.array[:n]
-        np.copyto(cols.reshape(n, h, w, c, k, k), win.transpose(0, 2, 3, 1, 4, 5))
-        g = self.gemm_slot.array[:n]
-        np.matmul(cols, self.wmat.T, out=g)
-        g += self.bias
-        if self.epilogue is not None:
-            self.epilogue(g)
-        np.copyto(self.out_slot.array[:n], g.transpose(0, 2, 1).reshape(n, f, h, w))
+# compiled steps — ``shape`` is always the logical (C, H, W); buffers are NHWC
 
 
 class _ConvShiftGemmStep:
-    """fp32 convolution: k² shifted channel GEMMs over NHWC activations.
+    """Convolution: k² shifted channel GEMMs over NHWC activations.
 
     Skips the im2col gather (the legacy hot spot): each kernel offset is
     one ``(W, C) @ (C, F)`` matmul over a shifted view of the padded input
@@ -241,19 +195,17 @@ class _ActivationStep:
 
 
 class _PoolStep:
-    """Max or average pooling in either layout."""
+    """Max or average pooling."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape, layout: str, op: str):
+    def __init__(self, factor: int, in_slot: _Slot, shape, op: str):
         c, h, w = shape
         if h % factor or w % factor:
             raise PlanError(f"spatial dims {h}x{w} not divisible by pool factor {factor}")
         self.factor = factor
         self.shape = shape
-        self.layout = layout
         self.op = op
         self.in_slot = in_slot
-        out_shape = (c, h // factor, w // factor)
-        self.out_slot = _Slot(_buf_shape(out_shape, layout))
+        self.out_slot = _Slot(_buf_shape((c, h // factor, w // factor)))
 
     def slots(self) -> list[_Slot]:
         return [self.out_slot]
@@ -261,29 +213,22 @@ class _PoolStep:
     def run(self, n: int) -> None:
         c, h, w = self.shape
         f = self.factor
-        if self.layout == "nchw":
-            blocks = self.in_slot.array[:n].reshape(n, c, h // f, f, w // f, f)
-            axes = (3, 5)
-        else:
-            blocks = self.in_slot.array[:n].reshape(n, h // f, f, w // f, f, c)
-            axes = (2, 4)
+        blocks = self.in_slot.array[:n].reshape(n, h // f, f, w // f, f, c)
         if self.op == "max":
-            blocks.max(axis=axes, out=self.out_slot.array[:n])
+            blocks.max(axis=(2, 4), out=self.out_slot.array[:n])
         else:
-            blocks.mean(axis=axes, out=self.out_slot.array[:n])
+            blocks.mean(axis=(2, 4), out=self.out_slot.array[:n])
 
 
 class _UpsampleStep:
-    """Nearest-neighbour upsampling in either layout."""
+    """Nearest-neighbour upsampling."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape, layout: str):
+    def __init__(self, factor: int, in_slot: _Slot, shape):
         c, h, w = shape
         self.factor = factor
         self.shape = shape
-        self.layout = layout
         self.in_slot = in_slot
-        out_shape = (c, h * factor, w * factor)
-        self.out_slot = _Slot(_buf_shape(out_shape, layout))
+        self.out_slot = _Slot(_buf_shape((c, h * factor, w * factor)))
 
     def slots(self) -> list[_Slot]:
         return [self.out_slot]
@@ -291,12 +236,8 @@ class _UpsampleStep:
     def run(self, n: int) -> None:
         c, h, w = self.shape
         f = self.factor
-        if self.layout == "nchw":
-            out6 = self.out_slot.array[:n].reshape(n, c, h, f, w, f)
-            out6[...] = self.in_slot.array[:n, :, :, None, :, None]
-        else:
-            out6 = self.out_slot.array[:n].reshape(n, h, f, w, f, c)
-            out6[...] = self.in_slot.array[:n, :, None, :, None, :]
+        out6 = self.out_slot.array[:n].reshape(n, h, f, w, f, c)
+        out6[...] = self.in_slot.array[:n, :, None, :, None, :]
 
 
 class _ResidualAddStep:
@@ -313,10 +254,10 @@ class _ResidualAddStep:
         self.out_slot.array[:n] += self.block_in.array[:n]
 
 
-def _buf_shape(shape: tuple[int, int, int], layout: str) -> tuple[int, ...]:
-    """Physical buffer shape (leading batch axis reserved as 0) for (C, H, W)."""
+def _buf_shape(shape: tuple[int, int, int]) -> tuple[int, ...]:
+    """NHWC buffer shape (leading batch axis reserved as 0) for (C, H, W)."""
     c, h, w = shape
-    return (0, c, h, w) if layout == "nchw" else (0, h, w, c)
+    return (0, h, w, c)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +278,9 @@ class InferencePlan:
         Maximum stacked batch size; calls with fewer samples reuse the same
         arena through leading-axis views.
     dtype:
-        ``np.float64`` (bitwise-identical to the legacy forward) or
-        ``np.float32`` (the fast shift-and-GEMM path; weights cast once
-        here).
+        ``np.float64`` (matches the legacy forward to rounding) or
+        ``np.float32`` (half the byte traffic); weights are cast once
+        here.
 
     Attributes
     ----------
@@ -359,11 +300,7 @@ class InferencePlan:
         dtype=np.float64,
     ):
         self.dtype = np.dtype(dtype)
-        if self.dtype == np.dtype(np.float64):
-            self.layout = "nchw"  # bitwise replay of the legacy forward
-        elif self.dtype == np.dtype(np.float32):
-            self.layout = "nhwc"  # shift-and-GEMM fast path
-        else:
+        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise PlanError(f"unsupported plan dtype {self.dtype}")
         input_shape = tuple(int(d) for d in input_shape)
         if len(input_shape) != 3:
@@ -381,7 +318,7 @@ class InferencePlan:
             capacity=self.capacity,
             dtype=str(self.dtype),
         ) as sp:
-            self._in_slot = _Slot(_buf_shape(input_shape, self.layout))
+            self._in_slot = _Slot(_buf_shape(input_shape))
             slots = [self._in_slot]
             self._steps, self._out_slot, self.output_shape = self._compile(
                 self._layers_of(model), self._in_slot, input_shape, slots
@@ -422,7 +359,6 @@ class InferencePlan:
 
     def _compile(self, layers: list, in_slot: _Slot, shape, slots: list[_Slot]):
         """Lower a layer list to steps; returns (steps, out_slot, out_shape)."""
-        conv_cls = _ConvIm2colStep if self.layout == "nchw" else _ConvShiftGemmStep
         steps = []
         cur_slot, cur_shape = in_slot, tuple(shape)
         i = 0
@@ -440,20 +376,20 @@ class InferencePlan:
                     epilogue = _activation_epilogue(layers[i + 1])
                     if epilogue is not None:
                         i += 1
-                step = conv_cls(layer, epilogue, cur_slot, cur_shape, self.dtype)
+                step = _ConvShiftGemmStep(layer, epilogue, cur_slot, cur_shape, self.dtype)
                 cur_shape = (layer.out_channels,) + cur_shape[1:]
             elif _activation_epilogue(layer) is not None:
                 step = _ActivationStep(
-                    _activation_epilogue(layer), cur_slot, _buf_shape(cur_shape, self.layout)
+                    _activation_epilogue(layer), cur_slot, _buf_shape(cur_shape)
                 )
             elif isinstance(layer, MaxPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, self.layout, "max")
+                step = _PoolStep(layer.factor, cur_slot, cur_shape, "max")
                 cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
             elif isinstance(layer, AvgPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, self.layout, "avg")
+                step = _PoolStep(layer.factor, cur_slot, cur_shape, "avg")
                 cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
             elif isinstance(layer, Upsample2d):
-                step = _UpsampleStep(layer.factor, cur_slot, cur_shape, self.layout)
+                step = _UpsampleStep(layer.factor, cur_slot, cur_shape)
                 cur_shape = (cur_shape[0], cur_shape[1] * layer.factor, cur_shape[2] * layer.factor)
             elif isinstance(layer, Dropout):
                 pass  # inverted dropout is the identity at inference
@@ -499,10 +435,9 @@ class InferencePlan:
     def run(self, x: np.ndarray) -> np.ndarray:
         """One forward pass; returns a ``(n,) + output_shape`` NCHW view.
 
-        The input is cast (and, for fp32, transposed to NHWC) into the
-        arena on the way in.  The returned view is overwritten by the next
-        call, so callers must consume (or copy) it before running the plan
-        again.
+        The input is cast and transposed to NHWC into the arena on the
+        way in.  The returned view is overwritten by the next call, so
+        callers must consume (or copy) it before running the plan again.
         """
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
@@ -514,10 +449,7 @@ class InferencePlan:
             raise ValueError(
                 f"batch size {n} outside plan capacity 1..{self.capacity}"
             )
-        if self.layout == "nchw":
-            np.copyto(self._in_slot.array[:n], x)  # casts at the boundary
-        else:
-            np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))
+        np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))  # casts here
         gemm_started = time.perf_counter()
         for step in self._steps:
             step.run(n)
@@ -531,13 +463,10 @@ class InferencePlan:
             ).observe(time.perf_counter() - gemm_started, dtype=self.dtype.name)
         self.runs += 1
         self.workspace_reuses += 1  # every pass runs entirely in the arena
-        out = self._out_slot.array[:n]
-        if self.layout == "nhwc":
-            out = out.transpose(0, 3, 1, 2)
-        return out
+        return self._out_slot.array[:n].transpose(0, 3, 1, 2)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"InferencePlan({self.input_shape}, capacity={self.capacity}, "
-            f"dtype={self.dtype.name}, layout={self.layout}, steps={self.num_steps})"
+            f"dtype={self.dtype.name}, steps={self.num_steps})"
         )

@@ -53,11 +53,14 @@ class TestCacheKey:
     #: pinned digest of the default 32^2/seed-0/16-step PCG spec — this is a
     #: *format regression pin*: any change to the semantic-field set or the
     #: canonicalisation must bump CACHE_KEY_VERSION and re-pin, because a
-    #: silent change would mis-address every persisted cache entry
-    #: (v2: model weights are content-addressed, not path-addressed)
-    PINNED_DEFAULT = "0ab97b06df0f06ea7bc7d63f90dd3c958197018b923a1260e23cfa8de4159656"
+    #: silent change would mis-address every persisted cache entry.  A change
+    #: to what a spec computes bumps the version too, even with the canonical
+    #: form unchanged: equal keys promise bit-identical results
+    #: (v2: model weights are content-addressed, not path-addressed;
+    #: v3: fp64 nn inference moved from the im2col replay to shift-and-GEMM)
+    PINNED_DEFAULT = "5097cfa99a37a2432911d2a2a30539f7d989fea47d83c8c409294f149e87db43"
     PINNED_DEFAULT_STATE = (
-        "f6ff202d581ad9b40627d52eb59d0c89a8efb11d716329cb0a9967eb86f41b6e"
+        "3f80ea2a26b2aba8df0e6b673dc803a1292ddcdf7354afe87fe8464a21aa213f"
     )
 
     def test_hash_format_is_pinned(self):

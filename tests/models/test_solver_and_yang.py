@@ -31,6 +31,11 @@ class PerfectModel:
         return 0
 
 
+def assert_fp64_matches(got, ref):
+    """The fp64 plan contract: legacy output up to summation-order rounding."""
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def compatible_rhs(solid, seed=0):
     rng = np.random.default_rng(seed)
     fluid = ~solid
@@ -115,7 +120,7 @@ class TestNNProjectionSolver:
         np.testing.assert_array_equal(res.pressure, 0.0)
 
     def test_fp64_solve_matches_reference_loop(self):
-        """``solve`` is bit-for-bit the plain one-sample defect-correction loop."""
+        """``solve`` is the plain one-sample defect-correction loop."""
         from repro.fluid.laplacian import remove_nullspace
 
         g, _ = make_smoke_plume(20, 20, rng=7)
@@ -134,8 +139,8 @@ class TestNNProjectionSolver:
             R = remove_nullspace(B - apply_laplacian(P, solid), solid)
 
         res = NNProjectionSolver(model, passes=2).solve(b, solid)
-        np.testing.assert_array_equal(res.pressure, remove_nullspace(P, solid))
-        assert res.residual_norm == float(np.abs(R[fluid]).max())
+        assert_fp64_matches(res.pressure, remove_nullspace(P, solid))
+        assert res.residual_norm == pytest.approx(float(np.abs(R[fluid]).max()), rel=1e-9)
         assert res.iterations == 2
 
     def test_resource_usage(self):
@@ -146,7 +151,7 @@ class TestNNProjectionSolver:
 
 
 class TestPrecision:
-    """precision= wiring: fp64 stays bitwise, fp32 is close and all-float64 out."""
+    """precision= wiring: fp64 matches the legacy forward, fp32 is close, float64 out."""
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
@@ -160,8 +165,8 @@ class TestPrecision:
         legacy._plan_unsupported = True  # force the layer-by-layer forward
         rp = planned.solve(b, g.solid)
         rl = legacy.solve(b, g.solid)
-        np.testing.assert_array_equal(rp.pressure, rl.pressure)
-        assert rp.residual_norm == rl.residual_norm
+        assert_fp64_matches(rp.pressure, rl.pressure)
+        assert rp.residual_norm == pytest.approx(rl.residual_norm, rel=1e-9)
         assert planned._plan is not None  # the plan actually ran
 
     def test_fp32_pressure_is_float64_at_the_boundary(self):

@@ -1,4 +1,4 @@
-"""InferencePlan: bitwise fp64 replay, fp32 fast path, arena reuse."""
+"""InferencePlan: fp64 matches the legacy forward, fp32 fast path, arena reuse."""
 
 import numpy as np
 import pytest
@@ -44,16 +44,22 @@ def batch(n, c=2, h=H, seed=0):
     return np.random.default_rng(seed).standard_normal((n, c, h, h))
 
 
+def assert_fp64_matches(got, ref):
+    """The fp64 plan contract: legacy output up to summation-order rounding."""
+    assert got.dtype == np.float64
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_fp64_plan_is_bitwise_identical_to_legacy_forward(net):
     x = batch(3)
     plan = InferencePlan(net, (2, H, H), batch_capacity=3, dtype=np.float64)
-    np.testing.assert_array_equal(plan.run(x), net.forward(x, training=False))
+    assert_fp64_matches(plan.run(x), net.forward(x, training=False))
 
 
 def test_fp64_bitwise_holds_for_every_layer_kind(exotic):
     x = batch(2)
     plan = InferencePlan(exotic, (2, H, H), batch_capacity=2)
-    np.testing.assert_array_equal(plan.run(x), exotic.forward(x, training=False))
+    assert_fp64_matches(plan.run(x), exotic.forward(x, training=False))
 
 
 def test_shrinking_batches_reuse_the_same_arena_bitwise(net):
@@ -61,8 +67,22 @@ def test_shrinking_batches_reuse_the_same_arena_bitwise(net):
     plan = InferencePlan(net, (2, H, H), batch_capacity=4)
     for n in (4, 2, 1, 3):
         got = plan.run(x[:n])
-        np.testing.assert_array_equal(got, net.forward(x[:n], training=False))
+        assert_fp64_matches(got, net.forward(x[:n], training=False))
     assert plan.workspace_reuses == 4
+
+
+def test_fp64_plans_agree_bitwise_across_builds_and_batch_sizes(net):
+    """Plan vs plan stays exact: no batch size or build changes a sample."""
+    x = batch(4, seed=11)
+    first = InferencePlan(net, (2, H, H), batch_capacity=4)
+    second = InferencePlan(net, (2, H, H), batch_capacity=4)
+    single = InferencePlan(net, (2, H, H), batch_capacity=1)
+    alone = [single.run(x[i : i + 1])[0].copy() for i in range(4)]
+    for n in (4, 2, 1, 3):
+        got = first.run(x[:n]).copy()
+        np.testing.assert_array_equal(got, second.run(x[:n]))
+        for i in range(n):
+            np.testing.assert_array_equal(got[i], alone[i])
 
 
 def test_fp32_plan_matches_within_float32_tolerance(net):
@@ -81,18 +101,20 @@ def test_fp32_plan_handles_every_layer_kind(exotic):
     np.testing.assert_allclose(plan.run(x).astype(np.float64), ref, rtol=0, atol=1e-4)
 
 
-def test_weights_are_cast_once_at_build_not_per_run(net):
-    plan = InferencePlan(net, (2, H, H), dtype=np.float32)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weights_are_cast_once_at_build_not_per_run(net, dtype):
+    plan = InferencePlan(net, (2, H, H), dtype=dtype)
     conv_steps = [s for s in plan._steps if hasattr(s, "w_off")]
-    assert conv_steps, "fp32 plan should compile shift-GEMM conv steps"
-    assert all(s.w_off.dtype == np.float32 for s in conv_steps)
-    assert all(s.bias.dtype == np.float32 for s in conv_steps)
+    assert conv_steps, "the plan should compile shift-GEMM conv steps"
+    assert all(s.w_off.dtype == dtype for s in conv_steps)
+    assert all(s.bias.dtype == dtype for s in conv_steps)
 
 
-def test_zero_steady_state_allocations(net):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_steady_state_allocations(net, dtype):
     """Every run is served from the single pre-allocated arena."""
     x = batch(1)
-    plan = InferencePlan(net, (2, H, H), dtype=np.float32)
+    plan = InferencePlan(net, (2, H, H), dtype=dtype)
     assert plan.arena_bytes > 0
     arena_before = plan._arena.__array_interface__["data"][0]
     buffers_before = [s.array.__array_interface__["data"][0]
