@@ -31,7 +31,9 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 #: the job, and relocating identical weights keeps its key.
 #: v3: fp64 ``nn`` inference runs the shift-and-GEMM convolution instead of
 #: the im2col replay, so its results differ from v2's in the last bits.
-CACHE_KEY_VERSION = 3
+#: v4: advection reads grid-point velocities exactly, so results differ from
+#: v3's in the last bits.
+CACHE_KEY_VERSION = 4
 
 #: solver identifiers a JobSpec may request
 SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")

@@ -3,9 +3,12 @@
 Implements line 4 of the paper's Algorithm 1: ``u_A = advect(u_n, dt, q)``.
 Each sample point is traced backwards through the velocity field with a
 second-order Runge-Kutta step and the advected quantity is bilinearly
-interpolated at the departure point.  An optional MacCormack (BFECC-style)
-corrector reduces the scheme's numerical diffusion; it is the method
-mantaflow labels ``advectSemiLagrange(order=2)``.
+interpolated at the departure point.  The sample points are grid points
+(cell centres or faces), so the first RK2 stage reads their velocity
+exactly from face averages instead of interpolating it.  An optional
+MacCormack (BFECC-style) corrector reduces the scheme's numerical
+diffusion; it is the method mantaflow labels
+``advectSemiLagrange(order=2)``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ __all__ = ["advect_scalar", "advect_velocity", "maccormack_scalar"]
 
 
 def _backtrace(
-    grid: MACGrid2D, x: np.ndarray, y: np.ndarray, dt: float
+    grid: MACGrid2D,
+    x: np.ndarray,
+    y: np.ndarray,
+    u1: np.ndarray,
+    v1: np.ndarray,
+    dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK2 backtrace of world points through the current velocity field."""
-    u1, v1 = grid.velocity_at(x, y)
-    xm = x - 0.5 * dt * u1
-    ym = y - 0.5 * dt * v1
-    u2, v2 = grid.velocity_at(xm, ym)
+    """RK2 backtrace of world points ``(x, y)`` whose velocity is ``(u1, v1)``."""
+    u2, v2 = grid.velocity_at(x - 0.5 * dt * u1, y - 0.5 * dt * v1)
     bx = x - dt * u2
     by = y - dt * v2
     # keep departure points inside the domain
@@ -32,35 +37,36 @@ def _backtrace(
     return np.clip(bx, 0.0, w), np.clip(by, 0.0, h)
 
 
+def _backtrace_centers(grid: MACGrid2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK2 departure points of every cell centre."""
+    cx, cy = grid.cell_centers()
+    return _backtrace(grid, cx, cy, *grid.velocity_at_centers(), dt)
+
+
 def advect_scalar(grid: MACGrid2D, f: np.ndarray, dt: float) -> np.ndarray:
     """Advect a cell-centred scalar field, returning the new field.
 
     Values inside solid cells are kept at zero (no smoke inside obstacles).
     """
-    cx, cy = grid.cell_centers()
-    bx, by = _backtrace(grid, cx, cy, dt)
+    bx, by = _backtrace_centers(grid, dt)
     out = grid.sample_center(f, bx, by)
     out[grid.solid] = 0.0
     return out
 
 
 def maccormack_scalar(grid: MACGrid2D, f: np.ndarray, dt: float) -> np.ndarray:
-    """MacCormack-corrected scalar advection with min/max limiting."""
-    cx, cy = grid.cell_centers()
-    bx, by = _backtrace(grid, cx, cy, dt)
-    forward = grid.sample_center(f, bx, by)
+    """MacCormack-corrected scalar advection with min/max limiting.
+
+    The limiter clamps the corrected value to the range of the four values
+    around the departure point (Selle et al. 2008), so the scheme creates
+    no new extrema whichever way the flow crosses the cell.
+    """
+    bx, by = _backtrace_centers(grid, dt)
+    forward, lo, hi = grid._sample_center_bracketed(f, bx, by)
     # trace the forward result back *forwards* to estimate the error
-    fx, fy = _backtrace(grid, cx, cy, -dt)
+    fx, fy = _backtrace_centers(grid, -dt)
     backward = grid.sample_center(forward, fx, fy)
-    corrected = forward + 0.5 * (f - backward)
-    # limiter: clamp to the values bracketing the departure point
-    lo = np.minimum.reduce(
-        [forward, grid.sample_center(f, bx + grid.dx, by), grid.sample_center(f, bx - grid.dx, by)]
-    )
-    hi = np.maximum.reduce(
-        [forward, grid.sample_center(f, bx + grid.dx, by), grid.sample_center(f, bx - grid.dx, by)]
-    )
-    out = np.clip(corrected, lo, hi)
+    out = np.clip(forward + 0.5 * (f - backward), lo, hi)
     out[grid.solid] = 0.0
     return out
 
@@ -72,10 +78,10 @@ def advect_velocity(grid: MACGrid2D, dt: float) -> tuple[np.ndarray, np.ndarray]
     field (the grid is not modified).
     """
     ux, uy = grid.u_positions()
-    bx, by = _backtrace(grid, ux, uy, dt)
+    bx, by = _backtrace(grid, ux, uy, *grid.velocity_at_u_faces(), dt)
     new_u = grid.sample_u(bx, by)
 
     vx, vy = grid.v_positions()
-    bx, by = _backtrace(grid, vx, vy, dt)
+    bx, by = _backtrace(grid, vx, vy, *grid.velocity_at_v_faces(), dt)
     new_v = grid.sample_v(bx, by)
     return new_u, new_v

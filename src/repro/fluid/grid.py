@@ -15,6 +15,7 @@ solid wall (the paper generates "occupancy grids with the border wall").
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,21 +171,7 @@ class MACGrid2D:
     # ------------------------------------------------------------------
     def _bilerp(self, f: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """Bilinearly sample array ``f`` at fractional grid coords (gx, gy)."""
-        ny, nx = f.shape
-        gx = np.clip(gx, 0.0, nx - 1.0)
-        gy = np.clip(gy, 0.0, ny - 1.0)
-        x0 = gx.astype(np.int64)
-        y0 = gy.astype(np.int64)
-        x1 = np.minimum(x0 + 1, nx - 1)
-        y1 = np.minimum(y0 + 1, ny - 1)
-        tx = gx - x0
-        ty = gy - y0
-        return (
-            f[y0, x0] * (1 - tx) * (1 - ty)
-            + f[y0, x1] * tx * (1 - ty)
-            + f[y1, x0] * (1 - tx) * ty
-            + f[y1, x1] * tx * ty
-        )
+        return _blend(*_cell_corners(f, gx, gy))
 
     def sample_u(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Sample x-velocity at world points.  u[j,i] sits at (i*dx, (j+.5)*dx)."""
@@ -198,6 +185,16 @@ class MACGrid2D:
         """Sample a cell-centred field at world points."""
         return self._bilerp(f, x / self.dx - 0.5, y / self.dx - 0.5)
 
+    def _sample_center_bracketed(
+        self, f: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_center` plus the min and max of the four values it blends."""
+        corners, tx, ty = _cell_corners(f, x / self.dx - 0.5, y / self.dx - 0.5)
+        f00, f01, f10, f11 = corners
+        lo = np.minimum(np.minimum(f00, f01), np.minimum(f10, f11))
+        hi = np.maximum(np.maximum(f00, f01), np.maximum(f10, f11))
+        return _blend(corners, tx, ty), lo, hi
+
     def velocity_at(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full velocity vector sampled at world points."""
         return self.sample_u(x, y), self.sample_v(x, y)
@@ -206,25 +203,42 @@ class MACGrid2D:
     # derived positions
     # ------------------------------------------------------------------
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of all cell centres, as two (ny, nx) arrays."""
-        ys, xs = np.mgrid[0 : self.ny, 0 : self.nx]
-        return (xs + 0.5) * self.dx, (ys + 0.5) * self.dx
+        """World coordinates of all cell centres, as two read-only (ny, nx) arrays."""
+        return _world_points(self.ny, self.nx, self.dx, 0.5, 0.5)
 
     def u_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of u-faces, as two (ny, nx+1) arrays."""
-        ys, xs = np.mgrid[0 : self.ny, 0 : self.nx + 1]
-        return xs * self.dx, (ys + 0.5) * self.dx
+        """World coordinates of u-faces, as two read-only (ny, nx+1) arrays."""
+        return _world_points(self.ny, self.nx + 1, self.dx, 0.0, 0.5)
 
     def v_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of v-faces, as two (ny+1, nx) arrays."""
-        ys, xs = np.mgrid[0 : self.ny + 1, 0 : self.nx]
-        return (xs + 0.5) * self.dx, ys * self.dx
+        """World coordinates of v-faces, as two read-only (ny+1, nx) arrays."""
+        return _world_points(self.ny + 1, self.nx, self.dx, 0.5, 0.0)
 
     def velocity_at_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Velocity averaged to cell centres (two (ny, nx) arrays)."""
         uc = 0.5 * (self.u[:, :-1] + self.u[:, 1:])
         vc = 0.5 * (self.v[:-1, :] + self.v[1:, :])
         return uc, vc
+
+    def velocity_at_u_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity at the u-faces (two (ny, nx+1) arrays; ``u`` is the grid's own).
+
+        Matches :meth:`velocity_at` at :meth:`u_positions` to rounding: at a
+        face, bilinear sampling reduces to the face's own ``u`` and the mean
+        of the four nearest v-faces, whose columns past either domain edge
+        clamp to the edge column as :meth:`sample_v` does.
+        """
+        v = self.v
+        return self.u, _mean4(np.concatenate([v[:, :1], v, v[:, -1:]], axis=1))
+
+    def velocity_at_v_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity at the v-faces (two (ny+1, nx) arrays; ``v`` is the grid's own).
+
+        The transpose of :meth:`velocity_at_u_faces`: ``u`` is the mean of
+        the four nearest u-faces, rows past the edges clamped to the edge row.
+        """
+        u = self.u
+        return _mean4(np.concatenate([u[:1], u, u[-1:]], axis=0)), self.v
 
     def max_speed(self) -> float:
         """Maximum velocity magnitude estimate (for CFL time steps)."""
@@ -244,3 +258,83 @@ class MACGrid2D:
         if self.solid_v is not None:
             g.solid_v = self.solid_v.copy()
         return g
+
+
+@functools.lru_cache(maxsize=12)
+def _world_points(
+    rows: int, cols: int, dx: float, ox: float, oy: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """World coordinates ``((i + ox) * dx, (j + oy) * dx)`` of a lattice.
+
+    Every advection step traces the same cell-centre and face points, so
+    they are built once per grid geometry (three sets each, room for four
+    geometries) and shared read-only by every caller.
+    """
+    ys, xs = np.mgrid[0:rows, 0:cols]
+    x = (xs + ox) * dx
+    y = (ys + oy) * dx
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
+
+
+def _mean4(a: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 neighbourhood, shape ``(h-1, w-1)``."""
+    return 0.25 * ((a[:-1, :-1] + a[:-1, 1:]) + (a[1:, :-1] + a[1:, 1:]))
+
+
+def _cell_corners(
+    f: np.ndarray, gx: np.ndarray, gy: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Gather the corners of the cells holding fractional grid coords (gx, gy).
+
+    Coordinates are clipped to the array.  Returns the values at
+    ``(y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1)`` and the offsets
+    ``(tx, ty)`` inside the cell, all float64 whatever the dtype of ``f``.
+    ``x0 <= w-2`` and ``y0 <= h-2``, so a point on the far edge sits at
+    offset 1 of the last cell and the ``+1`` neighbour is always in range;
+    each corner is one flat ``take``.
+    """
+    h, w = f.shape
+    tx = np.clip(gx, 0.0, w - 1.0)
+    ty = np.clip(gy, 0.0, h - 1.0)
+    x0 = tx.astype(np.intp)
+    np.minimum(x0, w - 2, out=x0)
+    tx -= x0
+    idx = ty.astype(np.intp)
+    np.minimum(idx, h - 2, out=idx)
+    ty -= idx
+    idx *= w
+    idx += x0
+    flat = np.asarray(f, dtype=np.float64).ravel()
+    f00 = flat.take(idx)
+    idx += 1
+    f01 = flat.take(idx)
+    idx += w
+    f11 = flat.take(idx)
+    idx -= 1
+    f10 = flat.take(idx)
+    return [f00, f01, f10, f11], tx, ty
+
+
+def _blend(corners: list[np.ndarray], tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Bilinear blend of :func:`_cell_corners` output, in place over its arrays.
+
+    Each corner is weighted ``(f * wx) * wy`` and the four are summed in
+    order, so the result is bitwise the textbook expression.
+    """
+    f00, f01, f10, f11 = corners
+    f01 *= tx
+    f11 *= tx
+    np.subtract(1.0, tx, out=tx)
+    f00 *= tx
+    f10 *= tx
+    f10 *= ty
+    f11 *= ty
+    np.subtract(1.0, ty, out=ty)
+    f00 *= ty
+    f01 *= ty
+    f00 += f01
+    f00 += f10
+    f00 += f11
+    return f00

@@ -32,7 +32,7 @@ from scipy.sparse.linalg import splu
 from repro.metrics import MetricsRegistry, get_metrics
 from repro.trace import get_tracer
 
-from .advection import _backtrace
+from .advection import _backtrace_centers
 from .grid import CellType, MACGrid2D
 from .kernels import GeometryKernels
 from .solver_api import MaskKeyedCache, PressureSolver, SolveResult
@@ -70,8 +70,7 @@ def advect_levelset(grid: MACGrid2D, phi: np.ndarray, dt: float) -> np.ndarray:
     zeroed inside solids — the field must stay smooth across obstacles so
     the interface can slide along them.
     """
-    cx, cy = grid.cell_centers()
-    bx, by = _backtrace(grid, cx, cy, dt)
+    bx, by = _backtrace_centers(grid, dt)
     return grid.sample_center(phi, bx, by)
 
 

@@ -57,10 +57,11 @@ class TestCacheKey:
     #: to what a spec computes bumps the version too, even with the canonical
     #: form unchanged: equal keys promise bit-identical results
     #: (v2: model weights are content-addressed, not path-addressed;
-    #: v3: fp64 nn inference moved from the im2col replay to shift-and-GEMM)
-    PINNED_DEFAULT = "5097cfa99a37a2432911d2a2a30539f7d989fea47d83c8c409294f149e87db43"
+    #: v3: fp64 nn inference moved from the im2col replay to shift-and-GEMM;
+    #: v4: advection reads grid-point velocities exactly)
+    PINNED_DEFAULT = "3fc1d42d2ed739265e8c2d0e045d209dd1c6aa09918a69c34be89dcfa8a64e3e"
     PINNED_DEFAULT_STATE = (
-        "3f80ea2a26b2aba8df0e6b673dc803a1292ddcdf7354afe87fe8464a21aa213f"
+        "c77855629a1fff938a601e132660a1d4f2c5487d89950bdb12e26b61f676d65f"
     )
 
     def test_hash_format_is_pinned(self):

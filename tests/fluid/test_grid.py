@@ -139,6 +139,26 @@ class TestSampling:
         out = g.sample_center(g.density, np.array([-5.0, 99.0]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(out, 2.0)
 
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_face_sampling_clamps_to_edge_faces(self, component):
+        # points past every edge read that edge's faces, never a wrapped row
+        g = MACGrid2D(8, 6)
+        rng = np.random.default_rng(5)
+        g.u = rng.standard_normal(g.u.shape)
+        g.v = rng.standard_normal(g.v.shape)
+        field, sample = (g.u, g.sample_u) if component == "u" else (g.v, g.sample_v)
+        xs, ys = g.u_positions() if component == "u" else g.v_positions()
+        col_x, row_y = xs[0], ys[:, 0]
+        for far, edge in ((-5.0, 0), (99.0, -1)):
+            left_right = sample(np.full_like(row_y, far), row_y)
+            np.testing.assert_allclose(left_right, field[:, edge], atol=1e-12)
+            top_bottom = sample(col_x, np.full_like(col_x, far))
+            np.testing.assert_allclose(top_bottom, field[edge, :], atol=1e-12)
+        corners = sample(np.array([-5.0, 99.0, -5.0, 99.0]), np.array([-5.0, -5.0, 99.0, 99.0]))
+        np.testing.assert_allclose(
+            corners, [field[0, 0], field[0, -1], field[-1, 0], field[-1, -1]], atol=1e-12
+        )
+
     @given(
         x=st.floats(min_value=0.0, max_value=1.0),
         y=st.floats(min_value=0.0, max_value=1.0),
