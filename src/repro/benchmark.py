@@ -12,7 +12,7 @@ Benchmarks
     The compiled :class:`repro.nn.InferencePlan` vs. the legacy
     layer-by-layer forward on one fixed 128x128 input (the paper's
     baseline-cost workload; grid fixed across scales like
-    ``perf_kernels``).  Both plans run the NHWC shift-and-GEMM
+    ``perf_kernels``).  Both plans run the flat padded-row
     convolution.  Reports the fp64 plan (``fp64_plan_speedup`` over the
     legacy forward; ``fp64_max_abs_err`` is its max deviation from the
     legacy output, summation-order rounding only) and the fp32 plan, whose
@@ -170,8 +170,8 @@ def _bench_nn_inference(scale: BenchScale, seed: int = 0, grid: int = 128) -> di
     reps = max(2, scale.infer_reps)
     net = tompson_arch(8).build(rng=seed)
     x = np.random.default_rng(seed).standard_normal((1, 2, grid, grid))
-    plan64 = InferencePlan(net, (2, grid, grid), batch_capacity=1, dtype=np.float64)
-    plan32 = InferencePlan(net, (2, grid, grid), batch_capacity=1, dtype=np.float32)
+    plan64 = InferencePlan(net, (2, grid, grid), dtype=np.float64)
+    plan32 = InferencePlan(net, (2, grid, grid), dtype=np.float32)
 
     ref = net.forward(x, training=False)  # warm the legacy workspaces
     fp64_err = float(np.abs(plan64.run(x) - ref).max())

@@ -33,7 +33,9 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 #: the im2col replay, so its results differ from v2's in the last bits.
 #: v4: advection reads grid-point velocities exactly, so results differ from
 #: v3's in the last bits.
-CACHE_KEY_VERSION = 4
+#: v5: fp64 ``nn`` inference accumulates its conv products inside BLAS,
+#: starting from the bias, so results differ from v4's in the last bits.
+CACHE_KEY_VERSION = 5
 
 #: solver identifiers a JobSpec may request
 SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")

@@ -9,34 +9,61 @@ exact solver with, and Wandel et al. ("Teaching the Incompressible
 Navier-Stokes Equations to Fast Neural Surrogate Models") show fp32
 surrogates lose no usable pressure accuracy.
 
-An :class:`InferencePlan` is compiled once per (network, input shape, batch
-capacity, dtype) and then runs forward passes with zero steady-state
-allocations:
+An :class:`InferencePlan` is compiled once per (network, input shape,
+dtype) for one ``(1, C, H, W)`` sample and then runs forward passes with
+no steady-state allocation:
 
-* **workspace arena** — one flat buffer spanning every layer's workspaces
-  (conv pad/accumulator buffers, pooling/upsampling outputs, activation
-  buffers), carved into views at build time.  Buffers are sized by
-  *capacity* along the batch axis, so shrinking batches run through
-  leading-axis views of the same memory.
-* **shift-and-GEMM convolution** — activations live in NHWC layout
-  (channels contiguous) and each 2-D convolution runs as k² small channel
-  GEMMs over shifted views of the padded input, accumulated in place.
-  This skips the im2col gather entirely, which is latency-bound and
-  dominates the legacy forward.
-* **fused conv epilogue** — convolution, bias add and the directly
-  following activation execute as one GEMM epilogue (in-place bias add,
-  in-place activation on the accumulator) instead of three full array
-  passes over separate temporaries.
+* **flat padded rows** — every activation is a zero-padded NHWC image
+  stored as one flat ``(rows, C)`` matrix, carved out of a single
+  workspace arena at build time.  All images of one spatial resolution
+  share one pad (the widest ``k // 2`` among the convolutions reading
+  it) and so one padded row stride ``S``.
+* **one GEMM per kernel offset** — output cell ``(y, x)`` is flat row
+  ``y·S + x``, and its input under kernel offset ``(i, j)`` is that row
+  shifted by a constant, so each offset is one contiguous row slice and
+  one 2-D ``(rows, C) @ (C, F)`` GEMM.  The rows run in tiles of at most
+  ``_TILE_ROWS`` (4096), which keeps one tile's input slab and
+  accumulator in a core's 2 MiB L2: an untiled fp64 pass over 16,638
+  rows at 128² has a ≈ 2 MB working set per layer, and its forward took
+  8.6 ms against 5.1 ms tiled.
+* **chained buffers** — a conv writes its output rows straight into the
+  next layer's padded image.  The ``2·pad`` rows per image row that fall
+  on pad cells compute garbage and are re-zeroed, so every image's pads
+  read zero again before the next layer runs.
+* **bias-first accumulation** — each tile's accumulator starts as a copy
+  of a prebuilt bias tile (a plain copy needs no NumPy ufunc buffer, a
+  broadcast ``acc += bias`` takes up to 64 KiB per call).  ``float64``
+  adds the k² products inside BLAS: SciPy's ``dgemm`` with ``beta=1``
+  writes in place into the tile's Fortran-order transpose.  Its f2py
+  wrapper holds the GIL for the call (``np.matmul`` releases it), so
+  other Python threads wait while a thread runs fp64 forwards.
+  ``float32`` keeps ``matmul`` into a scratch tile plus an in-place add,
+  because OpenBLAS's ``sgemm`` took 2.3–2.8× as long with ``beta=1`` as
+  with ``beta=0`` at 1–4k rows.  A directly following activation runs in
+  place on the finished tile.
 
-The dtype decides only how weights and inputs are cast: weights **once**
-at plan build, inputs on the way into the arena.  ``float64`` sums the
-same products as the legacy forward in a different order, so its output
-matches to rounding (``max |plan - legacy| <= 1e-12 * max(1, max |legacy|)``)
-rather than bit for bit; ``float32`` also halves every GEMM's and copy's
-byte traffic and differs from fp64 by float32 rounding, and the caller
-casts the pressure back to float64 at the solver boundary.  Two plans of
-one network and dtype return bitwise-identical outputs, whatever their
-batch capacity or the batch size of a call.
+Forward times of an 8-channel Tompson net (Intel Xeon with AVX-512, 1
+BLAS thread), the per-image-row convolution this layout replaced → this
+one; DESIGN.md ("Inference engine") has the method and more numbers:
+
+=====  =============  =============
+grid   fp64 ms        fp32 ms
+=====  =============  =============
+8²     0.31 → 0.09    0.31 → 0.19
+16²    0.48 → 0.15    0.45 → 0.29
+32²    0.93 → 0.40    0.77 → 0.48
+64²    2.87 → 1.54    2.30 → 1.76
+128²   14.2 → 6.4     7.9 → 6.7
+=====  =============  =============
+
+The dtype decides how weights and inputs are cast (weights **once** at
+plan build, inputs on the way into the arena) and which accumulation the
+conv runs.  ``float64`` sums the same products as the legacy forward in a
+different order, so its output matches to rounding
+(``max |plan - legacy| <= 1e-12 * max(1, max |legacy|)``) rather than bit
+for bit; ``float32`` differs from fp64 by float32 rounding, and the
+caller casts the pressure back to float64 at the solver boundary.  Two
+plans of one network, shape and dtype return bitwise-identical outputs.
 
 Networks containing layers outside the inference vocabulary (``Dense``,
 ``Flatten``, custom layers) raise :class:`PlanError` at build time; callers
@@ -48,6 +75,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from repro.metrics import get_metrics
 from repro.trace import get_tracer
@@ -60,43 +88,87 @@ from .pool import AvgPool2d, MaxPool2d, Upsample2d
 
 __all__ = ["PlanError", "InferencePlan"]
 
+#: Most rows per conv GEMM tile; a conv's rows split into equal tiles.
+_TILE_ROWS = 4096
+
 
 class PlanError(ValueError):
     """The model (or input shape) cannot be compiled into a plan."""
 
 
-class _Slot:
-    """One buffer reservation inside the workspace arena."""
+# ---------------------------------------------------------------------------
+# the activation layout
 
-    __slots__ = ("shape", "zero", "array")
 
-    def __init__(self, shape: tuple[int, ...], zero: bool = False):
-        self.shape = shape
-        self.zero = zero
-        self.array: np.ndarray | None = None
+class _Grid:
+    """One spatial resolution; its images share one pad and row stride."""
+
+    __slots__ = ("h", "w", "pad")
+
+    def __init__(self, h: int, w: int):
+        self.h, self.w, self.pad = h, w, 0
+
+    @property
+    def stride(self) -> int:
+        """Cells per padded image row."""
+        return self.w + 2 * self.pad
+
+    @property
+    def span_rows(self) -> int:
+        """Flat rows from the first interior cell to the last."""
+        return self.h * self.stride - 2 * self.pad
+
+
+class _Image:
+    """A zero-padded NHWC activation stored as one flat ``(rows, C)`` matrix.
+
+    Views, set by :meth:`bind` once the grid's pad is final:
+
+    * ``flat`` — the whole padded image, one row per cell;
+    * ``interior`` — the logical ``(H, W, C)`` image;
+    * ``span`` — the contiguous rows from the first interior cell to the
+      last, which a conv computes in one sweep;
+    * ``gaps`` — the pad cells inside ``span`` (``2·pad`` after every
+      image row but the last), re-zeroed after a whole-span write.
+    """
+
+    def __init__(self, grid: _Grid, channels: int):
+        self.grid, self.channels = grid, channels
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.channels, self.grid.h, self.grid.w)
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
+        g = self.grid
+        return (g.h + 2 * g.pad) * g.stride * self.channels
+
+    def bind(self, memory: np.ndarray) -> None:
+        g, c = self.grid, self.channels
+        p, s = g.pad, g.stride
+        self.flat = memory.reshape(-1, c)
+        self.interior = self.flat.reshape(g.h + 2 * p, s, c)[p : p + g.h, p : p + g.w]
+        start = p * s + p
+        self.span = self.flat[start : start + g.span_rows]
+        gap_rows = self.flat[start + g.w : start + g.w + (g.h - 1) * s]
+        self.gaps = gap_rows.reshape(g.h - 1, s, c)[:, : 2 * p]
 
 
 # ---------------------------------------------------------------------------
-# in-place activation epilogues (operation sequences mirror the legacy
-# activation layers)
+# in-place activation epilogues ``f(a, tmp)``: ``tmp`` is same-shape scratch
+# (operation sequences mirror the legacy activation layers)
 
 
-def _relu_inplace(a: np.ndarray) -> None:
+def _relu_inplace(a: np.ndarray, tmp: np.ndarray) -> None:
     np.maximum(a, 0.0, out=a)
 
 
-def _tanh_inplace(a: np.ndarray) -> None:
+def _tanh_inplace(a: np.ndarray, tmp: np.ndarray) -> None:
     np.tanh(a, out=a)
 
 
-def _sigmoid_inplace(a: np.ndarray) -> None:
+def _sigmoid_inplace(a: np.ndarray, tmp: np.ndarray) -> None:
     np.clip(a, -60, 60, out=a)
     np.negative(a, out=a)
     np.exp(a, out=a)
@@ -105,8 +177,13 @@ def _sigmoid_inplace(a: np.ndarray) -> None:
 
 
 def _leaky_relu_inplace(slope: float):
-    def apply(a: np.ndarray) -> None:
-        np.copyto(a, np.where(a > 0, a, slope * a))
+    # where(a > 0, a, slope·a) is max(a, slope·a) for slope <= 1 and the min
+    # above, exactly; np.where would build activation-sized temporaries
+    pick = np.maximum if slope <= 1 else np.minimum
+
+    def apply(a: np.ndarray, tmp: np.ndarray) -> None:
+        np.multiply(a, slope, out=tmp)
+        pick(a, tmp, out=a)
 
     return apply
 
@@ -125,146 +202,166 @@ def _activation_epilogue(layer):
 
 
 # ---------------------------------------------------------------------------
-# compiled steps — ``shape`` is always the logical (C, H, W); buffers are NHWC
+# compiled steps: built over images, bound to arena views, then run
 
 
-class _ConvShiftGemmStep:
-    """Convolution: k² shifted channel GEMMs over NHWC activations.
+class _Step:
+    """A compiled step; ``bind`` gets the plan's shared scratch once."""
 
-    Skips the im2col gather (the legacy hot spot): each kernel offset is
-    one ``(W, C) @ (C, F)`` matmul over a shifted view of the padded input
-    — the channel axis is contiguous in NHWC, so every GEMM operand is a
-    dense row — accumulated in place into the output buffer.
+    def scratch_size(self) -> int:
+        return 0
+
+    def bind(self, scratch: np.ndarray) -> None:
+        pass
+
+
+class _ConvStep(_Step):
+    """Convolution: one GEMM per kernel offset over flat padded rows.
+
+    Output row ``r = y·S + x`` of the destination span reads source row
+    ``r + (pad_grid - pad + i)·S + (pad_grid - pad + j)`` under offset
+    ``(i, j)``, so each offset is one contiguous slice of the source.
     """
 
-    def __init__(self, conv: Conv2d, epilogue, in_slot: _Slot, shape, dtype):
-        c, h, w = shape
-        k = conv.kernel
-        pad = k // 2
-        f = conv.out_channels
-        self.kernel, self.pad, self.out_channels = k, pad, f
-        self.h, self.w, self.in_channels = h, w, c
+    def __init__(self, conv: Conv2d, epilogue, src: _Image, dst: _Image, dtype):
+        self.kernel, self.pad = conv.kernel, conv.kernel // 2
         self.epilogue = epilogue
+        self.src, self.dst = src, dst
         # weights cast ONCE at plan build, re-laid-out as one contiguous
         # (C, F) GEMM operand per kernel offset
         self.w_off = np.ascontiguousarray(
             conv.weight.value.transpose(2, 3, 1, 0).astype(dtype)
         )  # (k, k, C, F)
         self.bias = conv.bias.value.astype(dtype)
-        self.in_slot = in_slot
-        self.pad_slot = _Slot((0, h + 2 * pad, w + 2 * pad, c), zero=True)
-        self.tmp_slot = _Slot((0, h, w, f))
-        self.out_slot = _Slot((0, h, w, f))
+        self.blas = np.dtype(dtype) == np.float64
 
-    def slots(self) -> list[_Slot]:
-        return [self.pad_slot, self.tmp_slot, self.out_slot]
+    def _tile_rows(self) -> int:
+        rows = self.dst.grid.span_rows
+        n_tiles = -(-rows // _TILE_ROWS)
+        return -(-rows // n_tiles)
 
-    def run(self, n: int) -> None:
-        k, pad, h, w = self.kernel, self.pad, self.h, self.w
-        xp = self.pad_slot.array[:n]
-        xp[:, pad : pad + h, pad : pad + w, :] = self.in_slot.array[:n]
-        acc = self.out_slot.array[:n]
-        tmp = self.tmp_slot.array[:n]
-        np.matmul(xp[:, 0:h, 0:w, :], self.w_off[0, 0], out=acc)
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                np.matmul(xp[:, i : i + h, j : j + w, :], self.w_off[i, j], out=tmp)
-                acc += tmp
-        acc += self.bias
-        if self.epilogue is not None:
-            self.epilogue(acc)
+    def scratch_size(self) -> int:
+        return self._tile_rows() * self.dst.channels
+
+    def bind(self, scratch: np.ndarray) -> None:
+        k, f = self.kernel, self.dst.channels
+        g = self.src.grid
+        s, lead = g.stride, g.pad - self.pad
+        shifts = [(lead + i) * s + lead + j for i in range(k) for j in range(k)]
+        weights = list(self.w_off.reshape(k * k, -1, f))
+        tile = self._tile_rows()
+        bias_tile = np.broadcast_to(self.bias, (tile, f)).copy()
+        self._tiles = []
+        for r0 in range(0, g.span_rows, tile):
+            acc = self.dst.span[r0 : r0 + tile]
+            m = len(acc)
+            xs = [self.src.flat[r0 + d : r0 + d + m] for d in shifts]
+            tmp = scratch[: m * f].reshape(m, f)
+            if self.blas:
+                # the C-order (m, F) tile is a Fortran-order (F, m) matrix c,
+                # and c += W.T @ X.T is acc += X @ W
+                c = acc.T
+                operands = [(w.T, x.T) for w, x in zip(weights, xs)]
+                # f2py hands back a copy of a ``c`` it cannot write in place
+                if dgemm(0.0, *operands[0], 1.0, c, overwrite_c=1) is not c:
+                    raise PlanError("dgemm would accumulate into a copy of the tile")
+            else:
+                c = None
+                operands = list(zip(weights, xs))
+            self._tiles.append((acc, bias_tile[:m], c, operands, tmp))
+
+    def run(self) -> None:
+        for acc, bias, c, operands, tmp in self._tiles:
+            np.copyto(acc, bias)
+            if c is not None:
+                for wt, xt in operands:  # positional overwrite_c=1 parses faster
+                    dgemm(1.0, wt, xt, 1.0, c, 0, 0, 1)
+            else:
+                for w, x in operands:
+                    np.matmul(x, w, out=tmp)
+                    acc += tmp
+            if self.epilogue is not None:
+                self.epilogue(acc, tmp)
+        self.dst.gaps.fill(0)
 
 
-class _ActivationStep:
+class _ActivationStep(_Step):
     """A standalone activation (not directly after a convolution)."""
 
-    def __init__(self, epilogue, in_slot: _Slot, buf_shape):
+    def __init__(self, epilogue, src: _Image, dst: _Image):
         self.epilogue = epilogue
-        self.in_slot = in_slot
-        self.out_slot = _Slot(buf_shape)
+        self.src, self.dst = src, dst
 
-    def slots(self) -> list[_Slot]:
-        return [self.out_slot]
+    def scratch_size(self) -> int:
+        return self.dst.grid.span_rows * self.dst.channels
 
-    def run(self, n: int) -> None:
-        out = self.out_slot.array[:n]
-        np.copyto(out, self.in_slot.array[:n])
-        self.epilogue(out)
+    def bind(self, scratch: np.ndarray) -> None:
+        self._tmp = scratch[: self.dst.span.size].reshape(self.dst.span.shape)
+
+    def run(self) -> None:
+        np.copyto(self.dst.span, self.src.span)
+        self.epilogue(self.dst.span, self._tmp)
+        self.dst.gaps.fill(0)  # e.g. sigmoid(0) = 0.5
 
 
-class _PoolStep:
-    """Max or average pooling."""
+class _PoolStep(_Step):
+    """Max or average pooling, interior to interior."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape, op: str):
-        c, h, w = shape
-        if h % factor or w % factor:
-            raise PlanError(f"spatial dims {h}x{w} not divisible by pool factor {factor}")
-        self.factor = factor
-        self.shape = shape
-        self.op = op
-        self.in_slot = in_slot
-        self.out_slot = _Slot(_buf_shape((c, h // factor, w // factor)))
+    def __init__(self, factor: int, src: _Image, dst: _Image, op: str):
+        self.factor, self.op = factor, op
+        self.src, self.dst = src, dst
 
-    def slots(self) -> list[_Slot]:
-        return [self.out_slot]
-
-    def run(self, n: int) -> None:
-        c, h, w = self.shape
+    def bind(self, scratch: np.ndarray) -> None:
+        c, h, w = self.src.shape
         f = self.factor
-        blocks = self.in_slot.array[:n].reshape(n, h // f, f, w // f, f, c)
+        self._blocks = self.src.interior.reshape(h // f, f, w // f, f, c)
+
+    def run(self) -> None:
         if self.op == "max":
-            blocks.max(axis=(2, 4), out=self.out_slot.array[:n])
+            np.maximum.reduce(self._blocks, axis=(1, 3), out=self.dst.interior)
         else:
-            blocks.mean(axis=(2, 4), out=self.out_slot.array[:n])
+            np.add.reduce(self._blocks, axis=(1, 3), out=self.dst.interior)
+            # the span's pad cells are zero and stay zero
+            np.divide(self.dst.span, self.factor**2, out=self.dst.span)
 
 
-class _UpsampleStep:
-    """Nearest-neighbour upsampling."""
+class _UpsampleStep(_Step):
+    """Nearest-neighbour upsampling, interior to interior."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape):
-        c, h, w = shape
+    def __init__(self, factor: int, src: _Image, dst: _Image):
         self.factor = factor
-        self.shape = shape
-        self.in_slot = in_slot
-        self.out_slot = _Slot(_buf_shape((c, h * factor, w * factor)))
+        self.src, self.dst = src, dst
 
-    def slots(self) -> list[_Slot]:
-        return [self.out_slot]
-
-    def run(self, n: int) -> None:
-        c, h, w = self.shape
+    def bind(self, scratch: np.ndarray) -> None:
+        c, h, w = self.src.shape
         f = self.factor
-        out6 = self.out_slot.array[:n].reshape(n, h, f, w, f, c)
-        out6[...] = self.in_slot.array[:n, :, None, :, None, :]
+        self._out = self.dst.interior.reshape(h, f, w, f, c)
+        self._in = self.src.interior[:, None, :, None, :]
+
+    def run(self) -> None:
+        self._out[...] = self._in
 
 
-class _ResidualAddStep:
-    """Close a residual block: add the saved block input in place."""
+class _ResidualAddStep(_Step):
+    """Close a residual block: block input + block output, out of place.
 
-    def __init__(self, block_in: _Slot, out_slot: _Slot):
-        self.block_in = block_in
-        self.out_slot = out_slot
+    Out of place because a block that computes nothing (only Dropout)
+    returns its own input image.
+    """
 
-    def slots(self) -> list[_Slot]:
-        return []
+    def __init__(self, block_in: _Image, block_out: _Image, dst: _Image):
+        self.block_in, self.block_out, self.dst = block_in, block_out, dst
 
-    def run(self, n: int) -> None:
-        self.out_slot.array[:n] += self.block_in.array[:n]
-
-
-def _buf_shape(shape: tuple[int, int, int]) -> tuple[int, ...]:
-    """NHWC buffer shape (leading batch axis reserved as 0) for (C, H, W)."""
-    c, h, w = shape
-    return (0, h, w, c)
+    def run(self) -> None:
+        # one grid, one layout: the pad cells inside the spans add 0 + 0
+        np.add(self.block_in.span, self.block_out.span, out=self.dst.span)
 
 
 # ---------------------------------------------------------------------------
 
 
 class InferencePlan:
-    """A network compiled for repeated inference at a fixed shape/capacity.
+    """A network compiled for repeated single-sample inference at one shape.
 
     Parameters
     ----------
@@ -273,14 +370,12 @@ class InferencePlan:
         tree built from the inference vocabulary: Conv2d, ReLU/LeakyReLU/
         Tanh/Sigmoid, Max/AvgPool2d, Upsample2d, Dropout, Residual).
     input_shape:
-        Batch-free input shape ``(C, H, W)``.
-    batch_capacity:
-        Maximum stacked batch size; calls with fewer samples reuse the same
-        arena through leading-axis views.
+        Batch-free input shape ``(C, H, W)``; :meth:`run` takes one
+        ``(1, C, H, W)`` sample.
     dtype:
-        ``np.float64`` (matches the legacy forward to rounding) or
-        ``np.float32`` (half the byte traffic); weights are cast once
-        here.
+        ``np.float64`` (matches the legacy forward to rounding, BLAS-side
+        accumulation) or ``np.float32`` (half the byte traffic); weights
+        are cast once here.
 
     Attributes
     ----------
@@ -292,51 +387,38 @@ class InferencePlan:
         Total size of the workspace arena.
     """
 
-    def __init__(
-        self,
-        model,
-        input_shape: tuple[int, int, int],
-        batch_capacity: int = 1,
-        dtype=np.float64,
-    ):
+    def __init__(self, model, input_shape: tuple[int, int, int], dtype=np.float64):
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise PlanError(f"unsupported plan dtype {self.dtype}")
         input_shape = tuple(int(d) for d in input_shape)
         if len(input_shape) != 3:
             raise PlanError(f"input_shape must be (C, H, W), got {input_shape}")
-        if batch_capacity < 1:
-            raise PlanError("batch_capacity must be >= 1")
         self.input_shape = input_shape
-        self.capacity = int(batch_capacity)
         self.runs = 0
         self.workspace_reuses = 0
 
         compile_started = time.perf_counter()
-        with get_tracer().span(
-            "nn/plan_compile",
-            capacity=self.capacity,
-            dtype=str(self.dtype),
-        ) as sp:
-            self._in_slot = _Slot(_buf_shape(input_shape))
-            slots = [self._in_slot]
-            self._steps, self._out_slot, self.output_shape = self._compile(
-                self._layers_of(model), self._in_slot, input_shape, slots
-            )
+        with get_tracer().span("nn/plan_compile", dtype=str(self.dtype)) as sp:
+            self._grids: dict[tuple[int, int], _Grid] = {}
+            self._images: list[_Image] = []
+            c, h, w = input_shape
+            self._input = self._image(self._grid(h, w), c)
+            self._steps, self._output = self._compile(self._layers_of(model), self._input)
+            self.output_shape = self._output.shape
 
-            # one arena spanning every workspace; buffers are views into it,
-            # sized by capacity along the (reserved, leading) batch axis
-            for s in slots:
-                s.shape = (self.capacity,) + tuple(s.shape[1:])
-            total = sum(s.size for s in slots)
-            self._arena = np.empty(total, dtype=self.dtype)
+            # one zeroed arena: every image, then the steps' shared scratch;
+            # the grids' pads are final now that every conv is compiled
+            scratch = max((step.scratch_size() for step in self._steps), default=0)
+            sizes = [im.size for im in self._images]
+            self._arena = np.zeros(sum(sizes) + scratch, dtype=self.dtype)
             offset = 0
-            for s in slots:
-                view = self._arena[offset : offset + s.size].reshape(s.shape)
-                if s.zero:  # conv pad borders stay zero for the arena's lifetime
-                    view[...] = 0
-                s.array = view
-                offset += s.size
+            for im, size in zip(self._images, sizes):
+                im.bind(self._arena[offset : offset + size])
+                offset += size
+            for step in self._steps:
+                step.bind(self._arena[offset:])
+            self._result = self._output.interior[None].transpose(0, 3, 1, 2)
             if sp is not None:
                 sp.attrs["arena_bytes"] = int(self._arena.nbytes)
         get_metrics().families.histogram(
@@ -357,18 +439,26 @@ class InferencePlan:
             return list(model.layers)
         return [model]
 
-    def _compile(self, layers: list, in_slot: _Slot, shape, slots: list[_Slot]):
-        """Lower a layer list to steps; returns (steps, out_slot, out_shape)."""
+    def _grid(self, h: int, w: int) -> _Grid:
+        return self._grids.setdefault((h, w), _Grid(h, w))
+
+    def _image(self, grid: _Grid, channels: int) -> _Image:
+        im = _Image(grid, channels)
+        self._images.append(im)
+        return im
+
+    def _compile(self, layers: list, cur: _Image):
+        """Lower a layer list to steps; returns (steps, output image)."""
         steps = []
-        cur_slot, cur_shape = in_slot, tuple(shape)
         i = 0
         while i < len(layers):
             layer = layers[i]
+            c, h, w = cur.shape
             step = None
             if isinstance(layer, Conv2d):
-                if cur_shape[0] != layer.in_channels:
+                if c != layer.in_channels:
                     raise PlanError(
-                        f"conv expects {layer.in_channels} channels, got {cur_shape}"
+                        f"conv expects {layer.in_channels} channels, got {cur.shape}"
                     )
                 # fuse a directly following activation into the GEMM epilogue
                 epilogue = None
@@ -376,38 +466,35 @@ class InferencePlan:
                     epilogue = _activation_epilogue(layers[i + 1])
                     if epilogue is not None:
                         i += 1
-                step = _ConvShiftGemmStep(layer, epilogue, cur_slot, cur_shape, self.dtype)
-                cur_shape = (layer.out_channels,) + cur_shape[1:]
+                cur.grid.pad = max(cur.grid.pad, layer.kernel // 2)
+                step = _ConvStep(
+                    layer, epilogue, cur, self._image(cur.grid, layer.out_channels), self.dtype
+                )
             elif _activation_epilogue(layer) is not None:
                 step = _ActivationStep(
-                    _activation_epilogue(layer), cur_slot, _buf_shape(cur_shape)
+                    _activation_epilogue(layer), cur, self._image(cur.grid, c)
                 )
-            elif isinstance(layer, MaxPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, "max")
-                cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
-            elif isinstance(layer, AvgPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, "avg")
-                cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
+            elif isinstance(layer, (MaxPool2d, AvgPool2d)):
+                f = layer.factor
+                if h % f or w % f:
+                    raise PlanError(f"spatial dims {h}x{w} not divisible by pool factor {f}")
+                op = "max" if isinstance(layer, MaxPool2d) else "avg"
+                step = _PoolStep(f, cur, self._image(self._grid(h // f, w // f), c), op)
             elif isinstance(layer, Upsample2d):
-                step = _UpsampleStep(layer.factor, cur_slot, cur_shape)
-                cur_shape = (cur_shape[0], cur_shape[1] * layer.factor, cur_shape[2] * layer.factor)
+                f = layer.factor
+                step = _UpsampleStep(f, cur, self._image(self._grid(h * f, w * f), c))
             elif isinstance(layer, Dropout):
                 pass  # inverted dropout is the identity at inference
             elif isinstance(layer, Residual):
-                sub_steps, sub_out, sub_shape = self._compile(
-                    layer.layers, cur_slot, cur_shape, slots
-                )
-                if sub_shape != cur_shape:
+                sub_steps, sub_out = self._compile(layer.layers, cur)
+                if sub_out.shape != cur.shape:
                     raise PlanError(
-                        f"residual block changed shape {cur_shape} -> {sub_shape}"
+                        f"residual block changed shape {cur.shape} -> {sub_out.shape}"
                     )
                 steps.extend(sub_steps)
-                steps.append(_ResidualAddStep(cur_slot, sub_out))
-                cur_slot = sub_out
+                step = _ResidualAddStep(cur, sub_out, self._image(cur.grid, c))
             elif isinstance(layer, Network):
-                sub_steps, cur_slot, cur_shape = self._compile(
-                    layer.layers, cur_slot, cur_shape, slots
-                )
+                sub_steps, cur = self._compile(layer.layers, cur)
                 steps.extend(sub_steps)
             else:
                 raise PlanError(
@@ -416,10 +503,9 @@ class InferencePlan:
                 )
             if step is not None:
                 steps.append(step)
-                slots.extend(step.slots())
-                cur_slot = step.out_slot
+                cur = step.dst
             i += 1
-        return steps, cur_slot, cur_shape
+        return steps, cur
 
     # ------------------------------------------------------------------
     @property
@@ -433,26 +519,19 @@ class InferencePlan:
         return len(self._steps)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """One forward pass; returns a ``(n,) + output_shape`` NCHW view.
+        """One forward pass; returns a ``(1,) + output_shape`` NCHW view.
 
         The input is cast and transposed to NHWC into the arena on the
         way in.  The returned view is overwritten by the next call, so
         callers must consume (or copy) it before running the plan again.
         """
         x = np.asarray(x)
-        if x.ndim != 4 or x.shape[1:] != self.input_shape:
-            raise ValueError(
-                f"expected (N,) + {self.input_shape} input, got {x.shape}"
-            )
-        n = x.shape[0]
-        if not 1 <= n <= self.capacity:
-            raise ValueError(
-                f"batch size {n} outside plan capacity 1..{self.capacity}"
-            )
-        np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))  # casts here
+        if x.shape != (1,) + self.input_shape:
+            raise ValueError(f"expected (1,) + {self.input_shape} input, got {x.shape}")
+        np.copyto(self._input.interior, x[0].transpose(1, 2, 0))  # casts here
         gemm_started = time.perf_counter()
         for step in self._steps:
-            step.run(n)
+            step.run()
         metrics = get_metrics()
         if metrics.enabled:
             metrics.families.histogram(
@@ -463,10 +542,10 @@ class InferencePlan:
             ).observe(time.perf_counter() - gemm_started, dtype=self.dtype.name)
         self.runs += 1
         self.workspace_reuses += 1  # every pass runs entirely in the arena
-        return self._out_slot.array[:n].transpose(0, 3, 1, 2)
+        return self._result
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"InferencePlan({self.input_shape}, capacity={self.capacity}, "
-            f"dtype={self.dtype.name}, steps={self.num_steps})"
+            f"InferencePlan({self.input_shape}, dtype={self.dtype.name}, "
+            f"steps={self.num_steps})"
         )

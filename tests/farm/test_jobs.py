@@ -58,10 +58,11 @@ class TestCacheKey:
     #: form unchanged: equal keys promise bit-identical results
     #: (v2: model weights are content-addressed, not path-addressed;
     #: v3: fp64 nn inference moved from the im2col replay to shift-and-GEMM;
-    #: v4: advection reads grid-point velocities exactly)
-    PINNED_DEFAULT = "3fc1d42d2ed739265e8c2d0e045d209dd1c6aa09918a69c34be89dcfa8a64e3e"
+    #: v4: advection reads grid-point velocities exactly;
+    #: v5: fp64 nn conv products accumulate inside BLAS, bias first)
+    PINNED_DEFAULT = "9eeda50d24b92b06fc176c458c4ad00eb17057c94531e1399bbe103c180f6656"
     PINNED_DEFAULT_STATE = (
-        "c77855629a1fff938a601e132660a1d4f2c5487d89950bdb12e26b61f676d65f"
+        "e80220eb6d68b792d2bacd033f5e7bcac343f7dbd0e5ac62738e7afaedd69d0e"
     )
 
     def test_hash_format_is_pinned(self):

@@ -1,5 +1,7 @@
 """InferencePlan: fp64 matches the legacy forward, fp32 fast path, arena reuse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.nn import (
     MaxPool2d,
     Network,
     PlanError,
+    ReLU,
     Residual,
     Sigmoid,
     Tanh,
@@ -40,8 +43,47 @@ def exotic():
     ])
 
 
-def batch(n, c=2, h=H, seed=0):
-    return np.random.default_rng(seed).standard_normal((n, c, h, h))
+def mixed_kernels():
+    """1×1, 3×3 and 5×5 convs on one grid: the narrower ones read a wider pad."""
+    rng = np.random.default_rng(5)
+    return Network([
+        Conv2d(2, 5, 1, rng=rng), ReLU(),
+        Conv2d(5, 4, 5, rng=rng), LeakyReLU(0.2),
+        Conv2d(4, 6, 3, rng=rng), Tanh(),
+        Conv2d(6, 1, 1, rng=rng),
+    ])
+
+
+def resampled():
+    """Convs straight after a pool and an upsample, a residual block, and a
+    standalone sigmoid (sigmoid(0) = 0.5 lands on pad cells until re-zeroed)."""
+    rng = np.random.default_rng(3)
+    return Network([
+        Conv2d(2, 4, 3, rng=rng), ReLU(),
+        MaxPool2d(2), Conv2d(4, 4, 5, rng=rng), Tanh(),
+        Residual([Conv2d(4, 4, 3, rng=rng), ReLU(), Dropout(0.5)]),
+        Upsample2d(2), Conv2d(4, 3, 1, rng=rng), ReLU(),
+        AvgPool2d(2), Upsample2d(2), Sigmoid(),
+        Conv2d(3, 1, 3, rng=rng),
+    ])
+
+
+#: (net, grid) pairs off the square 32² path: odd and non-square grids for the
+#: pool-free net, even ones for the pooled net, and 65×70 and 66×70 split
+#: into two GEMM tiles
+EDGE_CASES = [
+    (mixed_kernels, (24, 40)),
+    (mixed_kernels, (33, 17)),
+    (mixed_kernels, (65, 70)),
+    (resampled, (24, 40)),
+    (resampled, (66, 70)),
+]
+EDGE_IDS = [f"{make.__name__}-{h}x{w}" for make, (h, w) in EDGE_CASES]
+
+
+def sample(seed=0, c=2, h=H, w=None):
+    """One ``(1, C, H, W)`` input."""
+    return np.random.default_rng(seed).standard_normal((1, c, h, h if w is None else w))
 
 
 def assert_fp64_matches(got, ref):
@@ -50,62 +92,89 @@ def assert_fp64_matches(got, ref):
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+def assert_fp32_matches(got, ref):
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got.astype(np.float64), ref, rtol=0, atol=1e-4)
+
+
 def test_fp64_plan_is_bitwise_identical_to_legacy_forward(net):
-    x = batch(3)
-    plan = InferencePlan(net, (2, H, H), batch_capacity=3, dtype=np.float64)
-    assert_fp64_matches(plan.run(x), net.forward(x, training=False))
+    plan = InferencePlan(net, (2, H, H), dtype=np.float64)
+    for seed in range(3):
+        x = sample(seed)
+        assert_fp64_matches(plan.run(x), net.forward(x, training=False))
 
 
 def test_fp64_bitwise_holds_for_every_layer_kind(exotic):
-    x = batch(2)
-    plan = InferencePlan(exotic, (2, H, H), batch_capacity=2)
-    assert_fp64_matches(plan.run(x), exotic.forward(x, training=False))
+    plan = InferencePlan(exotic, (2, H, H))
+    for seed in range(2):
+        x = sample(seed)
+        assert_fp64_matches(plan.run(x), exotic.forward(x, training=False))
 
 
-def test_shrinking_batches_reuse_the_same_arena_bitwise(net):
-    x = batch(4, seed=3)
-    plan = InferencePlan(net, (2, H, H), batch_capacity=4)
-    for n in (4, 2, 1, 3):
-        got = plan.run(x[:n])
-        assert_fp64_matches(got, net.forward(x[:n], training=False))
-    assert plan.workspace_reuses == 4
-
-
-def test_fp64_plans_agree_bitwise_across_builds_and_batch_sizes(net):
-    """Plan vs plan stays exact: no batch size or build changes a sample."""
-    x = batch(4, seed=11)
-    first = InferencePlan(net, (2, H, H), batch_capacity=4)
-    second = InferencePlan(net, (2, H, H), batch_capacity=4)
-    single = InferencePlan(net, (2, H, H), batch_capacity=1)
-    alone = [single.run(x[i : i + 1])[0].copy() for i in range(4)]
-    for n in (4, 2, 1, 3):
-        got = first.run(x[:n]).copy()
-        np.testing.assert_array_equal(got, second.run(x[:n]))
-        for i in range(n):
-            np.testing.assert_array_equal(got[i], alone[i])
+def test_fp64_plans_agree_bitwise_across_builds(net):
+    """Plan vs plan stays exact: a second build returns the same bits."""
+    first = InferencePlan(net, (2, H, H))
+    second = InferencePlan(net, (2, H, H))
+    for seed in range(11, 15):
+        x = sample(seed)
+        np.testing.assert_array_equal(first.run(x), second.run(x))
 
 
 def test_fp32_plan_matches_within_float32_tolerance(net):
-    x = batch(2, seed=5)
-    plan = InferencePlan(net, (2, H, H), batch_capacity=2, dtype=np.float32)
-    out = plan.run(x)
-    assert out.dtype == np.float32
-    ref = net.forward(x, training=False)
-    np.testing.assert_allclose(out.astype(np.float64), ref, rtol=0, atol=1e-4)
+    plan = InferencePlan(net, (2, H, H), dtype=np.float32)
+    for seed in (5, 6):
+        x = sample(seed)
+        assert_fp32_matches(plan.run(x), net.forward(x, training=False))
 
 
 def test_fp32_plan_handles_every_layer_kind(exotic):
-    x = batch(2, seed=9)
-    plan = InferencePlan(exotic, (2, H, H), batch_capacity=2, dtype=np.float32)
-    ref = exotic.forward(x, training=False)
-    np.testing.assert_allclose(plan.run(x).astype(np.float64), ref, rtol=0, atol=1e-4)
+    plan = InferencePlan(exotic, (2, H, H), dtype=np.float32)
+    for seed in (9, 10):
+        x = sample(seed)
+        assert_fp32_matches(plan.run(x), exotic.forward(x, training=False))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(("make", "grid"), EDGE_CASES, ids=EDGE_IDS)
+def test_odd_grids_and_mixed_layers_match_legacy(make, grid, dtype):
+    model = make()
+    h, w = grid
+    x = sample(2, h=h, w=w)
+    out = InferencePlan(model, (2, h, w), dtype=dtype).run(x)
+    ref = model.forward(x, training=False)
+    assert out.shape == ref.shape
+    if dtype == np.float64:
+        assert_fp64_matches(out, ref)
+    else:
+        assert_fp32_matches(out, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(("make", "grid"), EDGE_CASES, ids=EDGE_IDS)
+def test_pad_cells_stay_zero_between_runs(make, grid, dtype):
+    """A used plan returns exactly what a fresh plan does on the next input."""
+    model = make()
+    h, w = grid
+    used = InferencePlan(model, (2, h, w), dtype=dtype)
+    used.run(sample(1, h=h, w=w))
+    x2 = sample(2, h=h, w=w)
+    fresh = InferencePlan(model, (2, h, w), dtype=dtype)
+    np.testing.assert_array_equal(used.run(x2), fresh.run(x2))
+
+
+def test_residual_add_leaves_the_block_input_alone():
+    """A block that computes nothing hands back its own input image."""
+    nested = Network([Residual([Residual([Dropout(0.5)])])])
+    x = sample(3, h=8)
+    out = InferencePlan(nested, (2, 8, 8)).run(x)
+    assert_fp64_matches(out, nested.forward(x, training=False))  # 3x, not 4x
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_weights_are_cast_once_at_build_not_per_run(net, dtype):
     plan = InferencePlan(net, (2, H, H), dtype=dtype)
     conv_steps = [s for s in plan._steps if hasattr(s, "w_off")]
-    assert conv_steps, "the plan should compile shift-GEMM conv steps"
+    assert conv_steps, "the plan should compile conv steps"
     assert all(s.w_off.dtype == dtype for s in conv_steps)
     assert all(s.bias.dtype == dtype for s in conv_steps)
 
@@ -113,20 +182,36 @@ def test_weights_are_cast_once_at_build_not_per_run(net, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_zero_steady_state_allocations(net, dtype):
     """Every run is served from the single pre-allocated arena."""
-    x = batch(1)
+    x = sample()
     plan = InferencePlan(net, (2, H, H), dtype=dtype)
     assert plan.arena_bytes > 0
-    arena_before = plan._arena.__array_interface__["data"][0]
-    buffers_before = [s.array.__array_interface__["data"][0]
-                      for step in plan._steps for s in step.slots()]
+    assert all(np.shares_memory(im.flat, plan._arena) for im in plan._images)
+
+    def addresses():
+        return [plan._arena.ctypes.data] + [im.flat.ctypes.data for im in plan._images]
+
+    before = addresses()
     for _ in range(5):
         plan.run(x)
     assert plan.runs == 5
     assert plan.workspace_reuses == 5
-    assert plan._arena.__array_interface__["data"][0] == arena_before
-    buffers_after = [s.array.__array_interface__["data"][0]
-                     for step in plan._steps for s in step.slots()]
-    assert buffers_after == buffers_before
+    assert addresses() == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("model", ["net", "exotic"])
+def test_warmed_run_allocates_under_4_kib(request, model, dtype):
+    """No activation-sized temporary or NumPy ufunc buffer per forward."""
+    plan = InferencePlan(request.getfixturevalue(model), (2, 64, 64), dtype=dtype)
+    x = sample(h=64)
+    plan.run(x)
+    tracemalloc.start()
+    try:
+        plan.run(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_conv_activation_fusion_collapses_steps(net):
@@ -136,12 +221,12 @@ def test_conv_activation_fusion_collapses_steps(net):
     assert plan.num_steps == convs
 
 
-def test_run_rejects_wrong_shape_and_over_capacity(net):
-    plan = InferencePlan(net, (2, H, H), batch_capacity=2)
+def test_run_rejects_wrong_shape(net):
+    plan = InferencePlan(net, (2, H, H))
     with pytest.raises(ValueError, match="expected"):
-        plan.run(batch(1, h=H // 2))
-    with pytest.raises(ValueError, match="capacity"):
-        plan.run(batch(3))
+        plan.run(sample(h=H // 2))
+    with pytest.raises(ValueError, match="expected"):
+        plan.run(np.zeros((2, 2, H, H)))  # plans run one sample
 
 
 def test_unsupported_layers_raise_plan_error():
@@ -157,7 +242,7 @@ def test_unsupported_layers_raise_plan_error():
 
 def test_fp32_output_is_a_view_overwritten_by_next_run(net):
     plan = InferencePlan(net, (2, H, H))
-    first = plan.run(batch(1, seed=1))
+    first = plan.run(sample(1))
     kept = first.copy()
-    plan.run(batch(1, seed=2))
+    plan.run(sample(2))
     assert not np.array_equal(first, kept)
