@@ -21,9 +21,8 @@ supported entry points and keep working across refactors.
 * the framework — :class:`SmartFluidnet`, :class:`UserRequirement`,
   :class:`OfflineConfig`;
 * observability — the :mod:`repro.metrics` runtime-metrics module
-  (:class:`MetricsRegistry`, :func:`get_metrics`), the :mod:`repro.trace`
-  tracing/timeline module (:class:`Tracer`, :func:`get_tracer`) and
-  :func:`repro.benchmark.run_bench`;
+  (:class:`MetricsRegistry`, :func:`get_metrics`) and the :mod:`repro.trace`
+  tracing/timeline module (:class:`Tracer`, :func:`get_tracer`);
 * the execution farm — :class:`JobSpec`, :class:`JobResult`,
   :class:`SimulationFarm`, :class:`FarmReport`.
 
@@ -59,8 +58,6 @@ Subpackages
 ``repro.trace``
     Structured tracing: nested spans, histogram metrics with percentiles,
     typed step-event streams, JSONL and Chrome ``trace_event`` export.
-``repro.benchmark``
-    The ``repro bench`` performance suite (writes ``BENCH_*.json``).
 ``repro.experiments``
     One module per table/figure of the paper's evaluation.
 """

@@ -8,7 +8,6 @@ Commands
 ``offline``      build the Smart-fluidnet offline phase and save it
 ``report``       run every experiment and write one combined report
 ``adaptive``     run the adaptive online phase from a saved framework
-``bench``        run the performance suite and write ``BENCH_<tag>.json``
 ``farm``         run a fleet of simulation jobs on the concurrent farm
 ``top``          run a farm fleet with a live terminal status view
 ``serve``        run the simulation service on a local unix socket
@@ -16,8 +15,8 @@ Commands
 ``health``       query a running service's SLO burn-rate health report
 ``trace``        summarise or dump a trace file written by ``--trace``
 
-``simulate``, ``farm``, ``top`` and ``bench`` share one ``--scenario``
-selector in the form ``name[:key=val,key=val]`` (e.g.
+``simulate``, ``farm`` and ``top`` share one ``--scenario`` selector in
+the form ``name[:key=val,key=val]`` (e.g.
 ``--scenario dam_break:grid=64,gravity=3.0``); ``repro scenarios`` lists
 the registry with per-scenario parameter docs.
 
@@ -106,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nn/nn-pcg solvers; default: seeded untrained Tompson network",
     )
     sim.add_argument(
-        "--backend", choices=["kernel", "reference"], default="kernel",
-        help="PCG execution backend: compiled geometry kernels or the "
-        "matrix-free reference path (identical results)",
-    )
-    sim.add_argument(
         "--warm-start", action="store_true",
         help="warm-start PCG from the previous step's pressure",
     )
@@ -153,23 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit run statistics + metrics profile as JSON on stdout",
     )
 
-    ben = sub.add_parser(
-        "bench", help="run the performance suite and write BENCH_<tag>.json"
-    )
-    ben.add_argument(
-        "--scale", choices=["smoke", "ci", "default", "paper"], default="default"
-    )
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument(
-        "--scenario", type=str, default=None, metavar="NAME[:K=V,...]",
-        help="restrict the scenario_sweep benchmark to one scenario "
-        "(default: sweep every registered scenario)",
-    )
-    ben.add_argument(
-        "--output", type=str, default=None,
-        help="output JSON path (default: BENCH_<tag>.json in the current directory)",
-    )
-
     def add_farm_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=8, help="number of jobs in the fleet")
         p.add_argument(
@@ -181,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--model", type=str, default=None, metavar="DIR",
             help="trained-model directory for nn/nn-pcg jobs "
             "(default: seeded untrained Tompson network)",
-        )
-        p.add_argument(
-            "--solver-backend", choices=["kernel", "reference"], default=None,
-            help="PCG execution backend for pcg/jacobi-pcg jobs "
-            "(default: the solver's own default, kernel)",
         )
         p.add_argument(
             "--precision", choices=["fp32", "fp64"], default="fp64",
@@ -427,18 +399,15 @@ def _cmd_simulate(args) -> int:
         return NNPCGSolver(network(), metrics=metrics, precision=args.precision)
 
     solver = {
-        "pcg": lambda: PCGSolver(
-            warm_start=args.warm_start, metrics=metrics, backend=args.backend
-        ),
+        "pcg": lambda: PCGSolver(warm_start=args.warm_start, metrics=metrics),
         "jacobi-pcg": lambda: PCGSolver(
-            preconditioner="jacobi", warm_start=args.warm_start,
-            metrics=metrics, backend=args.backend,
+            preconditioner="jacobi", warm_start=args.warm_start, metrics=metrics
         ),
         "jacobi": lambda: JacobiSolver(metrics=metrics),
         "multigrid": lambda: MultigridSolver(metrics=metrics),
         "spectral": lambda: SpectralSolver(
             metrics=metrics,
-            fallback=PCGSolver(metrics=metrics, backend=args.backend),
+            fallback=PCGSolver(metrics=metrics),
         ),
         "nn": nn_solver,
         "nn-pcg": nn_pcg_solver,
@@ -464,7 +433,6 @@ def _cmd_simulate(args) -> int:
                         "steps": args.steps,
                         "scenario": sspec.to_string(),
                         "solver": args.solver,
-                        "backend": args.backend,
                         "precision": args.precision,
                         "warm_start": args.warm_start,
                     },
@@ -607,24 +575,6 @@ def _cmd_adaptive(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.benchmark import DEFAULT_TAG, run_bench, write_bench
-
-    report = run_bench(scale=args.scale, seed=args.seed, scenario=args.scenario)
-    output = args.output or f"BENCH_{DEFAULT_TAG}.json"
-    path = write_bench(report, output)
-    kernels = next(b for b in report["benchmarks"] if b["name"] == "perf_kernels")
-    rev = report.get("git_revision") or "unknown"
-    if report.get("git_dirty"):
-        rev += "+dirty"
-    print(
-        f"wrote {path} ({args.scale} scale, rev {rev}): kernel-vs-reference PCG speedup "
-        f"{kernels['speedup']:.3f}x (kernel {kernels['pcg_solve_seconds']:.4f}s, "
-        f"reference {kernels['reference_solve_seconds']:.4f}s)"
-    )
-    return 0
-
-
 def _build_farm_specs(args) -> list:
     """Translate the shared farm/top CLI options into a JobSpec fleet."""
     from repro.data import generate_problems
@@ -636,8 +586,6 @@ def _build_farm_specs(args) -> list:
     problems = generate_problems(args.jobs, grid_size)
     fail_step = max(1, args.steps // 2)
     solver_params = {}
-    if args.solver_backend is not None and args.solver in ("pcg", "jacobi-pcg"):
-        solver_params["backend"] = args.solver_backend
     if args.solver == "nn" and args.precision != "fp64":
         solver_params["precision"] = args.precision
     elif args.solver == "nn-pcg":
@@ -956,7 +904,6 @@ def main(argv: list[str] | None = None) -> int:
         "offline": _cmd_offline,
         "report": _cmd_report,
         "adaptive": _cmd_adaptive,
-        "bench": _cmd_bench,
         "farm": _cmd_farm,
         "top": _cmd_top,
         "serve": _cmd_serve,

@@ -1,7 +1,7 @@
 """Per-geometry compiled solver kernels.
 
-The matrix-free PCG path (:mod:`repro.fluid.pcg`) is dominated by Python-level
-overhead: ``apply_laplacian`` allocates ~10 full-grid temporaries per call and
+A matrix-free, grid-level PCG loop is dominated by Python-level overhead:
+``apply_laplacian`` allocates ~10 full-grid temporaries per call and
 recomputes the neighbour-degree field every time, the MIC(0) wavefront sweeps
 issue ~2·(H+W) tiny NumPy calls per preconditioner application, and every CG
 iteration pays repeated ``r[fluid]`` boolean fancy-indexing allocations.
@@ -19,12 +19,13 @@ depends only on the geometry:
   (:class:`MICTriangularFactor`) whose solves run inside SuperLU — one C
   call per sweep instead of one Python call per anti-diagonal.
 
-Bit-for-bit equivalence with the reference path is a design requirement, not
-an accident: CSR matvec accumulates each row's products in storage order
+Bit-for-bit equivalence with the grid-level loop is a design requirement,
+not an accident: CSR matvec accumulates each row's products in storage order
 starting from 0.0, and SuperLU's triangular solves subtract each row's
 contributions sequentially in ascending column order — both exactly mirror
-the grid-level recurrences, so ``PCGSolver(backend="kernel")`` produces the
-same iterates, residual history and pressure as ``backend="reference"``.
+the grid-level recurrences, so :class:`~repro.fluid.PCGSolver` produces the
+same iterates, residual history and pressure as that loop, which the test
+suite keeps as its oracle.
 
 :func:`spectral_eligible` classifies masks that are a pure closed box (border
 wall, no interior solids), the geometry class the DCT-based

@@ -16,7 +16,7 @@ Two representations are provided:
   index maps to scatter solutions back onto the grid.  Used by reference
   solvers and tests.
 * grid-shaped stencil arrays ``(adiag, aplusx, aplusy)`` — used by the
-  matrix-free PCG with the MIC(0) preconditioner and by multigrid.
+  MIC(0) preconditioner and by multigrid.
 """
 
 from __future__ import annotations

@@ -72,8 +72,9 @@ def apply_laplacian(p: np.ndarray, solid: np.ndarray, deg: np.ndarray | None = N
     way: a supplied diagonal differs from the internal accumulation only on
     solid cells, where it multiplies an exact zero.
 
-    This is used by the matrix-free PCG path, the multigrid smoother and the
-    DivNorm loss gradient.
+    This is used by the multigrid smoother and the DivNorm loss gradient;
+    :meth:`~repro.fluid.kernels.GeometryKernels.matvec` is its bitwise-equal
+    flat form inside PCG.
     """
     fluid = ~solid
     pf = np.where(fluid, p, 0.0)

@@ -4,21 +4,13 @@ This is the exact solver the paper's neural networks approximate (Algorithm 1
 lines 7-17): conjugate gradient on the 5-point Poisson system, preconditioned
 with the Modified Incomplete Cholesky level-0 factorisation ("MICCG(0)").
 
-Two backends share one mathematical definition:
-
-* ``backend="kernel"`` (default) runs the CG loop on flat fluid-cell vectors
-  using the per-geometry :class:`~repro.fluid.kernels.GeometryKernels`
-  artifact: CSR matvec for ``A·s``, SuperLU triangular solves for the
-  MIC(0) sweeps, allocation-free reductions.
-* ``backend="reference"`` is the original matrix-free grid path: the
-  triangular solves of the preconditioner are sequential recurrences,
-  vectorised with a wavefront sweep over anti-diagonals (cells with equal
-  ``x + y`` are mutually independent).
-
-The two backends produce bit-for-bit identical ``SolveResult``s — same
-iterates, same residual history, same pressure — because the kernel path's
-C-level loops accumulate in exactly the order of the grid recurrences (see
-:mod:`repro.fluid.kernels`); the equivalence suite asserts this.
+The CG loop runs on flat fluid-cell vectors using the per-geometry
+:class:`~repro.fluid.kernels.GeometryKernels` artifact: CSR matvec for
+``A·s``, SuperLU triangular solves for the MIC(0) sweeps, allocation-free
+reductions.  Its C-level loops accumulate in exactly the order of the
+matrix-free grid recurrences (see :mod:`repro.fluid.kernels`), so it is
+bit-for-bit equal to the grid-level CG loop; the test suite keeps that loop
+as its oracle and asserts equal iterates, residual history and pressure.
 
 Runtime caching: :class:`PCGSolver` keeps the MIC(0) factorisation (which
 embeds the wavefront schedule) and the compiled geometry kernels in
@@ -38,7 +30,6 @@ import numpy as np
 from repro.metrics import MetricsRegistry, get_metrics
 from repro.trace import get_tracer
 
-from .operators import apply_laplacian
 from .kernels import GeometryKernels
 from .laplacian import remove_nullspace, stencil_arrays
 from .solver_api import MaskKeyedCache, PressureSolver, SolveResult
@@ -82,7 +73,7 @@ class MIC0Preconditioner:
 
     These grids are shared with the sparse
     :class:`~repro.fluid.kernels.MICTriangularFactor`, which is what makes
-    the kernel backend bitwise-equal to :meth:`apply`: both subtract the
+    its sparse sweeps bitwise-equal to :meth:`apply`: both subtract the
     smaller-flat-index contribution first (below before left, right before
     above), matching SuperLU's ascending-column accumulation.
     """
@@ -161,11 +152,6 @@ class PCGSolver(PressureSolver):
     metrics:
         Registry receiving solver counters/timers; defaults to the
         process-wide registry.
-    backend:
-        ``"kernel"`` (default) runs the flat-vector CSR/SuperLU loop;
-        ``"reference"`` the original matrix-free grid loop.  Both return
-        identical bits; reference exists as the independently-testable
-        ground truth.
     """
 
     name = "pcg"
@@ -177,17 +163,13 @@ class PCGSolver(PressureSolver):
         preconditioner: str = "mic0",
         warm_start: bool = False,
         metrics: MetricsRegistry | None = None,
-        backend: str = "kernel",
     ):
         if preconditioner not in ("mic0", "jacobi", "none"):
             raise ValueError(f"unknown preconditioner {preconditioner!r}")
-        if backend not in ("kernel", "reference"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.tol = tol
         self.max_iterations = max_iterations
         self.preconditioner = preconditioner
         self.warm_start = warm_start
-        self.backend = backend
         self._metrics = metrics
         self._mic_cache = MaskKeyedCache("mic0")
         self._jacobi_cache = MaskKeyedCache("jacobi_diag")
@@ -229,17 +211,6 @@ class PCGSolver(PressureSolver):
             np.asarray(state["prev_solid"], dtype=np.bool_)
         )
 
-    def _precondition(self, solid: np.ndarray, metrics: MetricsRegistry):
-        if self.preconditioner == "mic0":
-            mic = self._mic_cache.get(solid, lambda: MIC0Preconditioner(solid), metrics)
-            return mic.apply
-        if self.preconditioner == "jacobi":
-            inv = self._jacobi_cache.get(
-                solid, lambda: self._jacobi_inverse(solid), metrics
-            )
-            return lambda r: r * inv
-        return lambda r: r
-
     @staticmethod
     def _jacobi_inverse(solid: np.ndarray) -> np.ndarray:
         adiag, _, _ = stencil_arrays(solid)
@@ -249,12 +220,9 @@ class PCGSolver(PressureSolver):
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
         with metrics.timer(f"solver/{self.name}/solve"), get_tracer().span(
-            f"solve/{self.name}", backend=self.backend
+            f"solve/{self.name}"
         ) as sp:
-            if self.backend == "kernel":
-                result = self._solve_kernel(b, solid, metrics)
-            else:
-                result = self._solve_reference(b, solid, metrics)
+            result = self._solve_kernel(b, solid, metrics)
             if sp is not None:
                 sp.attrs["iterations"] = result.iterations
                 sp.attrs["converged"] = result.converged
@@ -340,65 +308,6 @@ class PCGSolver(PressureSolver):
             self._prev_pressure = p.copy()
             self._prev_key = geo_key
         rnorm = float(np.abs(rf).max())
-        return SolveResult(p, it, converged, rnorm, flops, history)
-
-    def _solve_reference(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
-        """Matrix-free grid-level CG (the tested ground-truth path)."""
-        fluid = ~solid
-        nf = int(fluid.sum())
-        apply_m = self._precondition(solid, metrics)
-
-        # compatibility projection: remove the per-component null space
-        b = remove_nullspace(b, solid)
-
-        geo_key = MaskKeyedCache.key_of(solid)
-        p = np.zeros_like(b)
-        r = b.copy()
-        bnorm = float(np.abs(b[fluid]).max()) if nf else 0.0
-        history = [bnorm]
-        if bnorm < 1e-300:
-            return SolveResult(p, 0, True, 0.0, 0.0, history)
-        tol_abs = self.tol * bnorm
-
-        if self.warm_start and self._prev_pressure is not None and self._prev_key == geo_key:
-            p = self._prev_pressure.copy()
-            r = b - apply_laplacian(p, solid)
-            r[~fluid] = 0.0
-            metrics.inc(f"solver/{self.name}/warm_starts")
-
-        rnorm = float(np.abs(r[fluid]).max())
-        flops = 0.0
-        it = 0
-        converged = rnorm <= tol_abs  # a warm start may already satisfy tol
-        if not converged:
-            z = apply_m(r)
-            s = z.copy()
-            sigma = float((z[fluid] * r[fluid]).sum())
-            for it in range(1, self.max_iterations + 1):
-                w = apply_laplacian(s, solid)
-                denom = float((w[fluid] * s[fluid]).sum())
-                if abs(denom) < 1e-300:
-                    break
-                alpha = sigma / denom
-                p += alpha * s
-                r -= alpha * w
-                flops += 40.0 * nf
-                rnorm = float(np.abs(r[fluid]).max())
-                history.append(rnorm)
-                if rnorm <= tol_abs:
-                    converged = True
-                    break
-                z = apply_m(r)
-                sigma_new = float((z[fluid] * r[fluid]).sum())
-                beta = sigma_new / sigma
-                s = z + beta * s
-                sigma = sigma_new
-
-        p = remove_nullspace(p, solid)
-        if self.warm_start:
-            self._prev_pressure = p.copy()
-            self._prev_key = geo_key
-        rnorm = float(np.abs(r[fluid]).max())
         return SolveResult(p, it, converged, rnorm, flops, history)
 
 

@@ -3,7 +3,7 @@
 This module is the observability backbone of the package: the simulator, the
 pressure solvers, the training loop and the adaptive controller all report
 into a :class:`MetricsRegistry`, so any run can emit a structured profile
-(``repro simulate --json``, ``repro bench``).
+(``repro simulate --json``, ``repro adaptive --json``).
 
 Distinct from :mod:`repro.core.metrics`, which holds the paper's *simulation
 quality* metrics (quality loss, CumDivNorm, correlations); this module is

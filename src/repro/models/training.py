@@ -191,8 +191,9 @@ def train_nn_pcg_model(
     transfers to larger grids because the solver applies the network
     across a restriction pyramid whose levels match the training scale.
 
-    The committed bench weights (``results/models/nn_pcg_bench``) are the
-    output of this function at its defaults; see ``repro.benchmark``.
+    The committed weights (``results/models/nn_pcg_bench``) are the
+    output of this function at its defaults; the NN-PCG iteration gate in
+    ``tests/fluid/test_nn_pcg.py`` pins their iteration counts.
     """
     from repro.data import (
         collect_residual_frames,

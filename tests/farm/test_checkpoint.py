@@ -18,8 +18,6 @@ SPLIT_AT = 3
 def make_solver(kind: str):
     if kind == "pcg":
         return PCGSolver(metrics=NULL_METRICS)
-    if kind == "pcg-reference":
-        return PCGSolver(metrics=NULL_METRICS, backend="reference")
     if kind == "spectral":
         return SpectralSolver(metrics=NULL_METRICS)
     return NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2, metrics=NULL_METRICS)
@@ -30,7 +28,7 @@ def make_sim(kind: str) -> FluidSimulator:
     return FluidSimulator(grid, make_solver(kind), source, metrics=NULL_METRICS)
 
 
-@pytest.mark.parametrize("kind", ["pcg", "pcg-reference", "spectral", "nn"])
+@pytest.mark.parametrize("kind", ["pcg", "spectral", "nn"])
 def test_resumed_run_is_bit_for_bit_identical(kind, tmp_path):
     reference = make_sim(kind)
     reference.run(TOTAL_STEPS)

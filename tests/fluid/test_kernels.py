@@ -1,6 +1,6 @@
-"""Bit-for-bit equivalence of the kernel PCG backend vs. the reference path.
+"""Bit-for-bit equivalence of the kernel PCG loop vs. the grid-level oracle.
 
-The kernel backend is only allowed to be *faster*, never *different*: every
+The kernel loop is only allowed to be *faster*, never *different*: every
 assertion here is exact (``==`` / ``assert_array_equal``), not approximate.
 """
 
@@ -14,6 +14,8 @@ from repro.fluid.kernels import GeometryKernels, MICTriangularFactor, spectral_e
 from repro.fluid.laplacian import remove_nullspace, stencil_arrays
 from repro.fluid.operators import apply_laplacian
 from repro.metrics import MetricsRegistry
+
+from .reference_pcg import ReferencePCGSolver
 
 
 def border_wall(n=24):
@@ -128,8 +130,8 @@ class TestBackendEquivalence:
     def test_solve_results_identical(self, label, geom, precond):
         solid = geom()
         b = make_rhs(solid)
-        res_k = PCGSolver(preconditioner=precond, backend="kernel").solve(b, solid)
-        res_r = PCGSolver(preconditioner=precond, backend="reference").solve(b, solid)
+        res_k = PCGSolver(preconditioner=precond).solve(b, solid)
+        res_r = ReferencePCGSolver(preconditioner=precond).solve(b, solid)
         assert res_k.converged
         assert_results_identical(res_k, res_r)
 
@@ -137,8 +139,8 @@ class TestBackendEquivalence:
     def test_warm_start_identical_across_backends(self, label, geom):
         solid = geom()
         b1, b2 = make_rhs(solid, seed=1), make_rhs(solid, seed=2)
-        warm_k = PCGSolver(warm_start=True, backend="kernel")
-        warm_r = PCGSolver(warm_start=True, backend="reference")
+        warm_k = PCGSolver(warm_start=True)
+        warm_r = ReferencePCGSolver(warm_start=True)
         assert_results_identical(warm_k.solve(b1, solid), warm_r.solve(b1, solid))
         assert_results_identical(warm_k.solve(b2, solid), warm_r.solve(b2, solid))
 
@@ -146,15 +148,15 @@ class TestBackendEquivalence:
         solid = border_wall()
         b = np.zeros(solid.shape)
         assert_results_identical(
-            PCGSolver(backend="kernel").solve(b, solid),
-            PCGSolver(backend="reference").solve(b, solid),
+            PCGSolver().solve(b, solid),
+            ReferencePCGSolver().solve(b, solid),
         )
 
     def test_geometry_switch_identical(self):
-        """Cache invalidation on a mid-stream geometry change, both backends."""
+        """Cache invalidation on a mid-stream geometry change, both loops."""
         s1, s2 = border_wall(), multi_obstacle()
-        solver_k = PCGSolver(backend="kernel")
-        solver_r = PCGSolver(backend="reference")
+        solver_k = PCGSolver()
+        solver_r = ReferencePCGSolver()
         for solid in (s1, s2, s1):
             b = make_rhs(solid)
             assert_results_identical(solver_k.solve(b, solid), solver_r.solve(b, solid))
@@ -163,17 +165,13 @@ class TestBackendEquivalence:
         metrics = MetricsRegistry()
         solid = border_wall()
         b = make_rhs(solid)
-        solver = PCGSolver(metrics=metrics, backend="kernel")
+        solver = PCGSolver(metrics=metrics)
         solver.solve(b, solid)
         solver.solve(b, solid)
         assert metrics.counter("cache/mic0/miss") == 1
         assert metrics.counter("cache/mic0/hit") == 1
         assert metrics.counter("cache/kernels/miss") == 1
         assert metrics.counter("cache/kernels/hit") == 1
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            PCGSolver(backend="fancy")
 
 
 class TestJacobiKernelPath:

@@ -1,5 +1,7 @@
 """Tests for the NN-preconditioned flexible CG solver (DCDM-style)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,21 @@ from repro.fluid import (
     parse_scenario,
 )
 from repro.fluid.laplacian import remove_nullspace
+from repro.io import load_model
 from repro.metrics import MetricsRegistry
 from repro.models import tompson_arch
+
+#: committed weights of :func:`repro.models.train_nn_pcg_model` at its defaults
+PINNED_MODEL = Path(__file__).resolve().parents[2] / "results" / "models" / "nn_pcg_bench"
+
+#: (PCG, NN-PCG) iterations on each fallback-prone scenario's last Poisson
+#: problem after 6 exact 128² steps (rng 0, tol 1e-5), with the pinned weights
+PINNED_ITERATIONS = {
+    "karman_street": (49, 15),
+    "moving_cylinder": (67, 13),
+    "inflow_jet": (44, 15),
+    "plume_collision": (45, 16),
+}
 
 
 def plume_solid(n: int, seed: int) -> np.ndarray:
@@ -65,6 +80,22 @@ class _CaptureSolver:
 
     def reset(self):
         self.inner.reset()
+
+
+def captured_problems(name: str, grid: int, steps: int, tol: float = 1e-5):
+    """Every (b, solid) an exact PCG run of scenario ``name`` is asked to solve.
+
+    The solver is wrapped by the scenario driver, like a real job.
+    """
+    sspec = parse_scenario(name).with_defaults(grid=grid)
+    g, driver = build_scenario(sspec, rng=0)
+    cap = _CaptureSolver(PCGSolver(tol=tol, metrics=MetricsRegistry()))
+    overrides = getattr(driver, "config_overrides", {})
+    config = SimulationConfig(**overrides) if overrides else None
+    FluidSimulator(
+        g, driver.wrap_solver(cap), driver, config=config, metrics=MetricsRegistry()
+    ).run(steps)
+    return cap.samples
 
 
 class TestConvergence:
@@ -117,17 +148,9 @@ class TestConvergence:
         tol = 1e-5
         covered = 0
         for info in list_scenarios():
-            sspec = parse_scenario(info.name).with_defaults(grid=32)
-            grid, driver = build_scenario(sspec, rng=0)
-            cap = _CaptureSolver(PCGSolver(tol=tol, metrics=MetricsRegistry()))
-            wrapped = driver.wrap_solver(cap)
-            overrides = getattr(driver, "config_overrides", {})
-            config = SimulationConfig(**overrides) if overrides else None
-            sim = FluidSimulator(grid, wrapped, driver, config=config,
-                                 metrics=MetricsRegistry())
-            sim.run(3)
             nontrivial = [
-                (b, s) for b, s in cap.samples if float(np.abs(b).max()) > 1e-12
+                (b, s) for b, s in captured_problems(info.name, grid=32, steps=3, tol=tol)
+                if float(np.abs(b).max()) > 1e-12
             ]
             if not nontrivial:
                 continue  # driver replaced the solver (free surface)
@@ -274,3 +297,42 @@ class TestValidationAndAccounting:
         result = sim.run(3)
         assert len(result.records) == 3
         assert all(r.projection.converged for r in result.records)
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """(PCG result, NN-PCG result) per scenario of :data:`PINNED_ITERATIONS`."""
+    assert PINNED_MODEL.is_dir(), f"pinned NN-PCG weights missing: {PINNED_MODEL}"
+    pinned_net = load_model(PINNED_MODEL).network
+    tol = 1e-5
+    runs = {}
+    for name in PINNED_ITERATIONS:
+        b, solid = captured_problems(name, grid=128, steps=6, tol=tol)[-1]
+        runs[name] = (
+            PCGSolver(tol=tol, metrics=MetricsRegistry()).solve(b, solid),
+            NNPCGSolver(pinned_net, tol=tol, metrics=MetricsRegistry()).solve(b, solid),
+        )
+    return runs
+
+
+class TestPinnedWeightsIterationGate:
+    """The committed weights keep cutting MIC(0)-PCG's iterations at 128².
+
+    Iteration counts are deterministic, so this gate needs no timing and no
+    baseline from another host.  Wall time is not gated: at CPU scale the
+    network V-cycle costs more than the iterations it saves.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ITERATIONS))
+    def test_converges_within_half_the_pinned_ratio(self, pinned_runs, name):
+        pcg, nn = pinned_runs[name]
+        assert pcg.converged and nn.converged
+        pinned_pcg, pinned_nn = PINNED_ITERATIONS[name]
+        assert pcg.iterations / nn.iterations >= 0.5 * pinned_pcg / pinned_nn
+
+    def test_at_least_two_scenarios_at_2x(self, pinned_runs):
+        at_2x = [
+            name for name, (pcg, nn) in pinned_runs.items()
+            if pcg.iterations >= 2 * nn.iterations
+        ]
+        assert len(at_2x) >= 2, at_2x

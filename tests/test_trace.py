@@ -332,7 +332,7 @@ class TestProcessDefault:
 
 
 # ----------------------------------------------------------------------
-# overhead guard (coarse; CI's bench gate is the strict 5% check)
+# overhead guard (coarse; tests/test_timing_gates.py is the strict 5% check)
 # ----------------------------------------------------------------------
 
 
