@@ -809,7 +809,9 @@ def _cmd_submit(args) -> int:
                         etype = event.get("type", "?")
                         step = event.get("step")
                         at = f" step {step}" if step is not None else ""
-                        print(f"  {etype}{at}", file=sys.stderr)
+                        pid = event.get("pid")
+                        by = f" (pid {pid})" if pid is not None else ""
+                        print(f"  {etype}{at}{by}", file=sys.stderr)
             result = await client.result(job["job_id"], timeout=args.timeout)
             if args.json:
                 print(json.dumps(result.to_dict(), indent=2))

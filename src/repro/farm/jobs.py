@@ -78,20 +78,23 @@ class JobSpec:
     checkpoint_every:
         Save a checkpoint every N completed steps (0 disables).
     timeout_seconds:
-        Wall-clock budget per attempt; the farm kills and retries a worker
-        exceeding it.  ``None`` means unbounded.
+        Wall-clock budget per attempt; the farm's process backend and the
+        serve tier's pool kill and retry a worker exceeding it.  ``None``
+        means unbounded.
     max_retries:
-        How many times the farm may re-run the job after a worker fault
-        (crash, timeout).  Retries resume from the latest checkpoint.
+        How many times the farm or the serve tier's pool may re-run the
+        job after a worker fault (crash, timeout).  Retries resume from the
+        latest checkpoint.
     fail_at_step:
         Fault injection for testing: trigger an artificial worker failure
         just before executing this step, on the first attempt only.
     fail_mode:
         Flavour of the injected failure: ``"raise"`` raises inside the
         stepping loop (exercises graceful degradation to PCG), ``"crash"``
-        hard-kills the worker process (exercises the farm's reap/retry and
-        checkpoint-resume path; downgraded to ``"raise"`` when the job runs
-        in-process).
+        hard-kills the worker process (exercises the reap/retry and
+        checkpoint-resume path of the farm and the serve tier; downgraded
+        to ``"raise"`` when the job runs in-process, which only the serial
+        farm backend does).
     """
 
     job_id: str

@@ -15,6 +15,10 @@ through one of two backends:
     Jobs run inline one after another — the in-process reference the
     farm tests compare the process backend against.
 
+:class:`Pool` is the long-lived, resizable pool behind the serve tier.  It
+runs each job in a child process forked through the same worker entry
+as the process backend, and applies the same fault rules and counters.
+
 In-run failures (NN raising, divergence, injected faults) never reach the
 pool: :func:`~repro.farm.worker.run_job` degrades those to exact PCG
 internally.  The pool only handles *hard* faults — the ones a single
@@ -26,6 +30,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import signal
 import tempfile
 import threading
 import time
@@ -35,7 +40,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.metrics import MetricsRegistry, set_metrics
-from repro.trace import Tracer, set_tracer
+from repro.trace import Tracer, get_tracer, set_tracer
 
 from .checkpoint import sweep_orphans
 from .jobs import JobResult, JobSpec
@@ -99,19 +104,30 @@ class FarmReport:
         }
 
 
+def _fork_context():
+    """The multiprocessing context of farm and pool children (fork where available)."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else methods[0])
+
+
 def _process_worker_entry(
     spec_dict: dict,
     checkpoint_dir: str | None,
     attempt: int,
-    out_queue,
+    send,
     trace: bool = False,
     heartbeat_seconds: float = 0.5,
+    cancel=None,
 ) -> None:
-    """Worker-process main: run one job, streaming events + the result back.
+    """Child-process main of the farm and the pool: run one job, streaming
+    events and the result back.
 
-    Queue protocol: tagged tuples ``("event", job_id, attempt, event_dict)``
-    for in-flight telemetry and exactly one terminal
-    ``("result", job_id, attempt, result_dict)``.
+    ``send`` puts one message on the channel to the parent: ``put`` of the
+    farm's shared queue, or ``send`` of one pool job's pipe.  Messages are
+    tagged tuples ``("event", job_id, attempt, event_dict)`` for in-flight
+    telemetry and exactly one terminal ``("result", job_id, attempt,
+    result_dict)``.  ``cancel`` is the job's :class:`multiprocessing.Event`
+    (pool children only), checked by :func:`run_job` between steps.
     """
     os.environ[_WORKER_ENV] = "1"
     m = MetricsRegistry()
@@ -120,7 +136,7 @@ def _process_worker_entry(
     spec = JobSpec.from_dict(spec_dict)
 
     def on_event(event: dict) -> None:
-        out_queue.put(("event", spec.job_id, attempt, event))
+        send(("event", spec.job_id, attempt, event))
 
     try:
         result = run_job(
@@ -131,6 +147,7 @@ def _process_worker_entry(
             on_event=on_event,
             heartbeat_seconds=heartbeat_seconds,
             attach_trace=True,
+            cancel=cancel,
         )
     except BaseException as exc:  # harness-level error: report, don't hang the farm
         result = JobResult(
@@ -140,7 +157,30 @@ def _process_worker_entry(
             error=f"{type(exc).__name__}: {exc}",
             metrics=m.to_dict(),
         )
-    out_queue.put(("result", spec.job_id, attempt, result.to_dict()))
+    send(("result", spec.job_id, attempt, result.to_dict()))
+
+
+def _pool_child_main(*args) -> None:
+    """Process target of a pool child: :func:`_process_worker_entry`, then
+    ``os._exit``.
+
+    The child restores default SIGINT/SIGTERM handling and drops the
+    inherited ``signal.set_wakeup_fd``: ``repro serve`` installs asyncio
+    signal handlers, and without this a signal sent to a job's child would
+    be written into the server's wakeup socket and shut the server down.
+    It leaves through ``os._exit``, because the normal exit path runs
+    ``threading._shutdown`` and flushes stdio, whose locks another parent
+    thread may have held when the child forked.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    code = 1
+    try:
+        _process_worker_entry(*args)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class SimulationFarm:
@@ -274,8 +314,7 @@ class SimulationFarm:
 
     # ------------------------------------------------------------------
     def _run_process(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else methods[0])
+        ctx = _fork_context()
         out_queue: mp.Queue = ctx.Queue()
         pending: deque[tuple[JobSpec, int]] = deque((spec, 0) for spec in jobs)
         running: dict[str, tuple[mp.Process, JobSpec, int, float]] = {}
@@ -336,7 +375,7 @@ class SimulationFarm:
                         spec.to_dict(),
                         ckpt_dir,
                         attempt,
-                        out_queue,
+                        out_queue.put,
                         self.trace,
                         self.heartbeat_seconds,
                     ),
@@ -398,9 +437,19 @@ class Pool:
     Where :class:`SimulationFarm` is batch-shaped (run one job list, exit),
     a :class:`Pool` stays up for the lifetime of a service: jobs arrive one
     at a time through :meth:`submit` into a priority queue, a fleet of
-    worker threads pulls them through :func:`~repro.farm.worker.run_job`,
-    and finished :class:`~repro.farm.jobs.JobResult`\\ s are delivered to
-    the ``on_result`` callback (from the worker thread that produced them).
+    worker threads pulls them, and finished
+    :class:`~repro.farm.jobs.JobResult`\\ s are delivered to the
+    ``on_result`` callback (from the worker thread that produced them).
+
+    Each worker thread runs its job in a child process forked through the
+    farm's worker entry, so jobs in flight run on separate cores and the
+    parent runs no simulation code.  The thread relays the child's events
+    to ``on_event``, merges its metrics into :attr:`metrics` and its trace
+    into :func:`repro.trace.get_tracer`, and applies the farm's fault
+    rules: a child that dies without a result, or overruns
+    ``spec.timeout_seconds`` (after the farm's grace), is retried from its
+    checkpoint in the same slot up to ``spec.max_retries`` times; a child
+    that lingers after reporting is terminated and its result kept.
 
     The pool is the autoscaling substrate of :mod:`repro.serve`:
 
@@ -442,6 +491,7 @@ class Pool:
             swept = sweep_orphans(self.checkpoint_dir)
             if swept:
                 self.metrics.inc("farm/orphan_checkpoints_swept", len(swept))
+        self._ctx = _fork_context()
         self._queue: queue_mod.PriorityQueue = queue_mod.PriorityQueue()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -471,8 +521,11 @@ class Pool:
             help="Terminal pool jobs by status.",
             labels=("status",),
         )
-        self._cancelled_queued: set[str] = set()
-        self._running: dict[str, threading.Event] = {}
+        #: jobs asked to cancel while queued or running; a running one whose
+        #: child dies is not retried
+        self._cancelled: set[str] = set()
+        #: running job -> the cancel Event of its current child
+        self._running: dict[str, mp.synchronize.Event] = {}
         self._shutdown = False
         self.resize(workers)
 
@@ -525,14 +578,15 @@ class Pool:
         set and stop at the next step boundary.
         """
         with self._lock:
-            if job_id in self._queued and job_id not in self._cancelled_queued:
-                self._cancelled_queued.add(job_id)
+            if job_id in self._queued and job_id not in self._cancelled:
+                self._cancelled.add(job_id)
                 return "queued"
             flag = self._running.get(job_id)
-            if flag is not None:
-                flag.set()
-                return "running"
-        return "unknown"
+            if flag is None:
+                return "unknown"
+            self._cancelled.add(job_id)
+        flag.set()
+        return "running"
 
     # ------------------------------------------------------------------
     def resize(self, workers: int) -> None:
@@ -579,20 +633,30 @@ class Pool:
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> bool:
         """Stop the pool.  ``drain=True`` finishes queued + running jobs
         first; ``drain=False`` cancels queued jobs and asks running ones to
-        stop at their next step boundary.  Returns False on timeout."""
+        stop at their next step boundary.  Every job still queued when the
+        pool stops gets a ``cancelled`` result, delivered from the calling
+        thread.  Returns False on timeout."""
         ok = True
         if drain:
             ok = self.drain(timeout)
-        with self._lock:
+        with self._idle:
             self._shutdown = True
+            dropped = list(self._queued)
+            self._queued.clear()
+            self._queued_at.clear()
+            self._cancelled.difference_update(dropped)
+            flags = []
             if not drain:
-                for job_id in list(self._queued):
-                    self._cancelled_queued.add(job_id)
-                for flag in self._running.values():
-                    flag.set()
+                flags = list(self._running.values())
+                self._cancelled.update(self._running)
             self._target = 0
             self._excess = len(self._threads)
             threads = list(self._threads)
+            self._idle.notify_all()
+        for flag in flags:
+            flag.set()
+        for job_id in dropped:
+            self._deliver(JobResult(job_id=job_id, status="cancelled"))
         for t in threads:
             t.join(timeout=30.0)
             if t.is_alive():  # pragma: no cover - wedged worker
@@ -601,6 +665,11 @@ class Pool:
 
     # ------------------------------------------------------------------
     def _deliver(self, result: JobResult) -> None:
+        if result.trace:
+            # the child's private tracer joins this process's trace here,
+            # once; the result travels on without it
+            get_tracer().merge(result.trace)
+            result.trace = {}
         self.metrics.merge(result.metrics)
         self.metrics.inc("farm/jobs")
         self.metrics.inc(
@@ -624,47 +693,165 @@ class Pool:
                 _prio, _seq, spec = self._queue.get(timeout=self.poll_seconds)
             except queue_mod.Empty:
                 continue
+            flag = self._ctx.Event()
             with self._lock:
-                self._queued.pop(spec.job_id, None)
+                if self._queued.pop(spec.job_id, None) is None:
+                    continue  # shutdown already delivered it as cancelled
                 queued_at = self._queued_at.pop(spec.job_id, None)
-                if spec.job_id in self._cancelled_queued:
-                    self._cancelled_queued.discard(spec.job_id)
-                    cancelled: JobResult | None = JobResult(
-                        job_id=spec.job_id, status="cancelled"
-                    )
+                cancelled = spec.job_id in self._cancelled
+                if cancelled:
+                    self._cancelled.discard(spec.job_id)
                 else:
-                    cancelled = None
-                    flag = threading.Event()
                     self._running[spec.job_id] = flag
-            if cancelled is not None:
-                self._deliver(cancelled)
+            if cancelled:
+                self._deliver(JobResult(job_id=spec.job_id, status="cancelled"))
                 with self._idle:
                     self._idle.notify_all()
                 continue
             if queued_at is not None:
                 self._queue_wait_hist.observe(time.monotonic() - queued_at)
-            m = MetricsRegistry()
             run_started = time.perf_counter()
+            proc = None
             try:
-                result = run_job(
-                    spec,
-                    self.checkpoint_dir,
-                    metrics=m,
-                    on_event=self.on_event,
-                    heartbeat_seconds=self.heartbeat_seconds,
-                    cancel=flag,
-                )
-            except BaseException as exc:  # harness error: report, keep the worker
+                result, proc = self._supervise(spec, flag)
+            except Exception as exc:  # harness error: report, keep the worker
                 result = JobResult(
                     job_id=spec.job_id,
                     status="failed",
                     error=f"{type(exc).__name__}: {exc}",
-                    metrics=m.to_dict(),
                 )
             self._job_run_hist.observe(
                 time.perf_counter() - run_started, status=result.status
             )
             with self._idle:
                 self._running.pop(spec.job_id, None)
+                self._cancelled.discard(spec.job_id)
                 self._idle.notify_all()
+            # deliver first: the reporting child's exit (a few ms) and any
+            # lingering are the pool's business, not the caller's latency
             self._deliver(result)
+            if proc is not None and _reap(proc, _LINGER_SECONDS):
+                self.metrics.inc("farm/lingering_workers")
+
+    def _supervise(
+        self, spec: JobSpec, flag
+    ) -> tuple[JobResult, mp.process.BaseProcess | None]:
+        """Run one job in children until one reports: ``(result, child)``.
+
+        A child that dies without a result or overruns its timeout is
+        reaped and the job retried from its checkpoint (the farm's rules
+        and counters); the reporting child is returned unreaped.
+        """
+        attempt = 0
+        while True:
+            proc, reader = self._start_child(spec, attempt, flag)
+            try:
+                result, fault = self._listen(spec, reader)
+            except BaseException:  # e.g. on_event raised: leave no child behind
+                _reap(proc, 0.0)
+                raise
+            finally:
+                reader.close()
+            if result is not None:
+                return result, proc
+            _reap(proc, 0.0 if fault == "timeouts" else _LINGER_SECONDS)
+            self.metrics.inc(f"farm/{fault}")
+            flag = self._ctx.Event()  # a killed child may have left the old one locked
+            with self._lock:
+                cancelled = spec.job_id in self._cancelled
+                retry = not cancelled and attempt < spec.max_retries
+                if retry:
+                    self._running[spec.job_id] = flag
+            if cancelled:
+                return JobResult(job_id=spec.job_id, status="cancelled", retries=attempt), None
+            if not retry:
+                return JobResult(
+                    job_id=spec.job_id,
+                    status="failed",
+                    retries=attempt,
+                    error=f"worker {fault} after {attempt + 1} attempt(s)",
+                ), None
+            self.metrics.inc("farm/retries")
+            attempt += 1
+
+    def _start_child(
+        self, spec: JobSpec, attempt: int, flag
+    ) -> tuple[mp.process.BaseProcess, object]:
+        """Fork one child for ``spec``: ``(process, read end of its pipe)``."""
+        with _CHILDREN_LOCK:
+            # another thread's fork between Pipe() and close() would inherit
+            # the write end and hold the reader's EOF back until it exits
+            reader, writer = self._ctx.Pipe(duplex=False)
+            try:
+                proc = self._ctx.Process(
+                    target=_pool_child_main,
+                    args=(
+                        spec.to_dict(),
+                        self.checkpoint_dir,
+                        attempt,
+                        writer.send,
+                        get_tracer().enabled,
+                        self.heartbeat_seconds,
+                        flag,
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+            except BaseException:
+                reader.close()
+                raise
+            finally:
+                writer.close()
+        return proc, reader
+
+    def _listen(self, spec: JobSpec, reader) -> tuple[JobResult | None, str | None]:
+        """Relay the child's events: ``(result, None)`` or ``(None, fault)``."""
+        deadline = None
+        if spec.timeout_seconds is not None:
+            # the farm's grace: a result landing just past the deadline counts
+            deadline = time.monotonic() + spec.timeout_seconds + _GRACE_SECONDS
+        while True:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if not reader.poll(wait):
+                return None, "timeouts"
+            try:
+                tag, _job_id, _attempt, payload = reader.recv()
+            except EOFError:  # the child exited without reporting
+                return None, "worker_deaths"
+            if tag == "result":
+                return JobResult.from_dict(payload), None
+            if self.on_event is not None:
+                self.on_event(payload)
+
+
+#: ``Process.start`` polls every child of the process
+#: (``multiprocessing.process._cleanup``), so starts, joins and closes on
+#: different pool threads must not interleave
+_CHILDREN_LOCK = threading.Lock()
+#: how long a reporting (or dying) child may take to exit before it counts
+#: as lingering and is terminated
+_LINGER_SECONDS = 1.0
+#: how long past its deadline a child's result is still awaited
+_GRACE_SECONDS = 0.5
+
+
+def _reap(proc: mp.process.BaseProcess, grace: float) -> bool:
+    """Join and close a pool child; True when it had to be terminated.
+
+    Waits up to ``grace`` seconds on the child's sentinel, outside the
+    lock, then terminates (and if need be kills) a child still running.
+    Once the sentinel fired, the join blocks: a ``WNOHANG`` poll right
+    after it can still see the child unreaped.
+    """
+    from multiprocessing.connection import wait  # loaded by the child's Pipe()
+
+    lingered = not wait([proc.sentinel], grace)
+    if lingered:
+        proc.terminate()
+        if not wait([proc.sentinel], 5.0):  # pragma: no cover - stubborn
+            proc.kill()
+            wait([proc.sentinel])
+    with _CHILDREN_LOCK:
+        proc.join()
+        proc.close()
+    return lingered

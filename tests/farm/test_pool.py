@@ -303,6 +303,30 @@ class TestResizablePool:
         assert res.status == "cancelled"
         assert res.steps_done < 400
 
+    def test_shutdown_without_drain_cancels_queued_jobs(self):
+        """Every queued job gets the ``cancelled`` result cancel() promises.
+
+        Regression: worker threads exited on the shrink debt before pulling
+        the queue again, so only the running job was delivered, queue_depth
+        stayed at 3 and a later drain() timed out.
+        """
+        results = []
+        pool = self._pool(results, workers=1)
+        pool.submit(JobSpec(job_id="long", grid_size=16, steps=400))
+        assert self._wait(lambda: pool.busy == 1)
+        for i in range(3):
+            pool.submit(JobSpec(job_id=f"q{i}", grid_size=16, steps=6))
+        assert pool.shutdown(drain=False, timeout=60)
+        assert sorted((r.job_id, r.status) for r in results) == [
+            ("long", "cancelled"),
+            ("q0", "cancelled"),
+            ("q1", "cancelled"),
+            ("q2", "cancelled"),
+        ]
+        assert pool.queue_depth == 0
+        assert pool.metrics.counter("farm/pool/cancelled") == 4
+        assert pool.drain(timeout=2)
+
     def test_priority_orders_queued_jobs(self):
         results = []
         pool = self._pool(results, workers=1)
@@ -331,3 +355,143 @@ class TestResizablePool:
         assert not list(tmp_path.glob("*.tmp"))
         assert pool.metrics.counter("farm/orphan_checkpoints_swept") == 1
         pool.shutdown()
+
+
+class TestPoolChildSupervision:
+    """Pool jobs run in forked children under the farm's fault rules."""
+
+    _pool = staticmethod(TestResizablePool._pool)
+
+    @staticmethod
+    def _run(pool, *specs, timeout=120):
+        for spec in specs:
+            pool.submit(spec)
+        assert pool.drain(timeout=timeout)
+        assert pool.shutdown(timeout=30)
+
+    @pytest.mark.parametrize(
+        "solver,params", [("pcg", {}), ("nn", {"passes": 1}), ("nn-pcg", {})]
+    )
+    def test_served_job_matches_in_process_run_job_bitwise(self, solver, params):
+        from repro.farm import run_job
+
+        spec = JobSpec(job_id=f"bits-{solver}", grid_size=16, seed=21, steps=3,
+                       solver=solver, solver_params=params)
+        results = []
+        self._run(self._pool(results, workers=1), spec)
+        (served,) = results
+        expected = run_job(spec)
+        assert served.ok and served.solver_used == expected.solver_used == solver
+        assert served.final_divnorm == expected.final_divnorm
+        assert served.cum_divnorm == expected.cum_divnorm
+
+    def test_child_events_metrics_and_trace_come_home(self):
+        import os
+        import threading
+
+        from repro.trace import Tracer, set_tracer
+
+        events, threads = [], set()
+
+        def on_event(event):
+            events.append(event)
+            threads.add(threading.current_thread())
+
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            results = []
+            pool = self._pool(results, workers=1, on_event=on_event)
+            self._run(pool, JobSpec(job_id="home", grid_size=12, steps=2))
+        finally:
+            set_tracer(previous)
+        (res,) = results
+        pids = {e["pid"] for e in events}
+        assert len(pids) == 1 and os.getpid() not in pids  # ran in a child
+        assert threading.main_thread() not in threads  # relayed by the worker thread
+        assert pool.metrics.counter("sim/steps") == 2  # child registry merged
+        steps = [s for s in tracer.spans() if s.name == "step"]
+        assert len(steps) == 2 and {s.pid for s in steps} == pids  # trace merged
+        assert res.trace == {}  # merged once, not delivered again
+
+    def test_crashed_child_resumes_from_its_checkpoint(self, tmp_path):
+        results = []
+        pool = self._pool(results, workers=1, checkpoint_dir=tmp_path)
+        self._run(pool, JobSpec(job_id="crash", grid_size=16, seed=13, steps=3,
+                                checkpoint_every=1, max_retries=2, fail_at_step=2,
+                                fail_mode="crash"))
+        (res,) = results
+        assert res.ok, res.error
+        assert res.retries == 1
+        assert res.resumed_from == 2  # resumed, not restarted
+        assert pool.metrics.counter("farm/worker_deaths") == 1
+        assert pool.metrics.counter("farm/retries") == 1
+
+    def test_overrunning_child_is_terminated_retried_then_failed(self):
+        results = []
+        pool = self._pool(results, workers=1)
+        self._run(pool, JobSpec(job_id="slow", grid_size=48, seed=1, steps=500,
+                                timeout_seconds=0.6, max_retries=1))
+        (res,) = results
+        assert res.status == "failed"
+        assert "timeouts" in res.error
+        assert res.retries == 1
+        assert pool.metrics.counter("farm/timeouts") == 2
+        assert pool.metrics.counter("farm/retries") == 1
+
+    def test_lingering_child_is_terminated_and_its_result_kept(self, monkeypatch):
+        import time
+
+        import repro.farm.pool as pool_mod
+
+        real_entry = pool_mod._process_worker_entry
+
+        def lingering_entry(*args):
+            real_entry(*args)
+            time.sleep(30)  # the result is sent, but the child hangs around
+
+        monkeypatch.setattr(pool_mod, "_process_worker_entry", lingering_entry)
+        results = []
+        pool = self._pool(results, workers=1)
+        t0 = time.monotonic()
+        self._run(pool, *(JobSpec(job_id=f"l{i}", grid_size=12, steps=1) for i in range(2)))
+        assert time.monotonic() - t0 < 15.0  # neither child held its thread for 30 s
+        assert [r.job_id for r in results] == ["l0", "l1"]
+        assert all(r.ok for r in results)
+        assert pool.metrics.counter("farm/lingering_workers") == 2
+
+    def test_stress_every_job_is_delivered_exactly_once(self, monkeypatch):
+        """200 short jobs through 2 workers, every 5th cancelled.
+
+        Regression for the reaping race: ``Process.start`` polls every child
+        of the process, so a start on one pool thread racing a join or
+        close on another failed jobs with "Cannot close a process while it
+        is still running".
+        """
+        import sys
+        import threading
+        import time
+
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        t0 = time.monotonic()
+        try:
+            results = []
+            pool = self._pool(results, workers=2)
+            ids = [f"x{i}" for i in range(200)]
+            cancelled = set(ids[4::5])
+            for job_id in ids:
+                pool.submit(JobSpec(job_id=job_id, grid_size=12, steps=2))
+                if job_id in cancelled:
+                    pool.cancel(job_id)
+            assert pool.drain(timeout=110)
+            assert pool.shutdown(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert time.monotonic() - t0 < 120.0
+        assert sorted(r.job_id for r in results) == sorted(ids)
+        assert not [r for r in results if r.status == "failed"]
+        assert all(r.ok for r in results if r.job_id not in cancelled)
+        assert not thread_errors

@@ -80,3 +80,59 @@ class TestSigtermShutdown:
         assert (cache / "index.json").is_file()
         assert list(cache.glob("*/*.json")), "no cache entry persisted"
         assert not (tmp_path / "serve.sock").exists()
+
+
+class TestJobChildSignals:
+    def test_sigterm_to_a_jobs_child_retries_the_job_and_the_server_keeps_serving(
+        self, tmp_path
+    ):
+        """A served job runs in a child process of its own.
+
+        SIGTERM to that child kills only the child: the pool retries the
+        job and the server keeps serving.  Without the child's signal
+        reset, the signal would reach the server's asyncio handlers
+        through the inherited wakeup fd and shut the server down.
+        """
+        sock = tmp_path / "serve.sock"
+        proc = start_server(tmp_path)
+        try:
+            wait_for_socket(tmp_path, proc)
+
+            async def scenario():
+                async with await ServiceClient.open(sock) as client:
+                    await client.submit(
+                        JobSpec(job_id="victim", grid_size=64, seed=0, steps=60)
+                    )
+                    pids, killed = [], None
+                    async with await ServiceClient.open(sock) as watcher:
+                        async for event in watcher.watch("victim"):
+                            pid = event.get("pid")
+                            if pid is None:
+                                continue
+                            pids.append(pid)
+                            if killed is None:
+                                killed = pid
+                                os.kill(pid, signal.SIGTERM)
+                    victim = await client.result("victim", timeout=120)
+                    await client.submit(JobSpec(job_id="after", grid_size=12, steps=2))
+                    after = await client.result("after", timeout=60)
+                return pids, killed, victim, after
+
+            pids, killed, victim, after = asyncio.run(scenario())
+            assert killed is not None and killed != proc.pid
+            assert proc.pid not in pids
+            assert len(set(pids)) >= 2  # the retry ran in a fresh child
+            assert victim.ok and victim.retries == 1, victim.error
+            assert after.ok
+            assert proc.poll() is None, "the server stopped"
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                try:
+                    proc.wait(timeout=120)
+                except subprocess.TimeoutExpired:  # pragma: no cover - cleanup on failure
+                    proc.kill()
+                    proc.wait()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+        assert proc.returncode == 0, stderr  # and it still drains and exits cleanly
