@@ -672,9 +672,10 @@ def _cmd_top(args) -> int:
     farm = _build_farm(args)
     # live SLO panel: sample the fleet's event-fed state each repaint and
     # surface any burning objectives under the fleet table.  The flat
-    # farm/* counters are no use here — worker registries only merge into
-    # farm.metrics after every job finishes, by which time the renderer
-    # has exited — whereas FleetView folds worker events as they arrive.
+    # farm/* counters are no use here — a worker's registry merges into
+    # farm.metrics only when its job's result arrives (on the serial
+    # backend, after the last job), so they say nothing of running jobs —
+    # whereas FleetView folds worker events as they arrive.
     fleet = farm.fleet
     recorder = SeriesRecorder(interval=min(1.0, max(0.1, args.interval)))
 

@@ -78,9 +78,9 @@ class JobSpec:
     checkpoint_every:
         Save a checkpoint every N completed steps (0 disables).
     timeout_seconds:
-        Wall-clock budget per attempt; the farm's process backend and the
-        serve tier's pool kill and retry a worker exceeding it.  ``None``
-        means unbounded.
+        Wall-clock budget per attempt; the pool behind the farm's process
+        backend and the serve tier kills and retries a worker exceeding
+        it.  ``None`` means unbounded.
     max_retries:
         How many times the farm or the serve tier's pool may re-run the
         job after a worker fault (crash, timeout).  Retries resume from the

@@ -4,20 +4,21 @@
 through one of two backends:
 
 ``process`` (default)
-    One OS process per running job, up to ``workers`` slots.  The parent
-    monitors every worker: a result on the queue completes the job; a dead
-    process without a result (crash, OOM kill) or a per-job timeout gets
-    the job requeued up to ``spec.max_retries`` times, resuming from its
-    latest checkpoint.  Worker registries are shipped back inside each
-    :class:`~repro.farm.jobs.JobResult` and merged into the farm profile.
+    The batch runs through a :class:`Pool` of ``workers`` slots, one child
+    process per running job.  A child that dies without a result (crash,
+    OOM kill) or overruns its timeout is retried in the same slot up to
+    ``spec.max_retries`` times, resuming from its latest checkpoint.  Each
+    child's registry and trace ride home inside its
+    :class:`~repro.farm.jobs.JobResult` and merge into the farm's as the
+    result arrives.  Worker events reach the farm's ``on_event`` on pool
+    worker threads; an exception there fails that job.
 
 ``serial``
     Jobs run inline one after another — the in-process reference the
     farm tests compare the process backend against.
 
-:class:`Pool` is the long-lived, resizable pool behind the serve tier.  It
-runs each job in a child process forked through the same worker entry
-as the process backend, and applies the same fault rules and counters.
+:class:`Pool` is the one child supervisor: it runs the process backend's
+batches and, long-lived and resizable, the serve tier.
 
 In-run failures (NN raising, divergence, injected faults) never reach the
 pool: :func:`~repro.farm.worker.run_job` degrades those to exact PCG
@@ -34,7 +35,6 @@ import signal
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -104,12 +104,6 @@ class FarmReport:
         }
 
 
-def _fork_context():
-    """The multiprocessing context of farm and pool children (fork where available)."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else methods[0])
-
-
 def _process_worker_entry(
     spec_dict: dict,
     checkpoint_dir: str | None,
@@ -119,15 +113,16 @@ def _process_worker_entry(
     heartbeat_seconds: float = 0.5,
     cancel=None,
 ) -> None:
-    """Child-process main of the farm and the pool: run one job, streaming
-    events and the result back.
+    """Child-process main of a pool job: run it, streaming events and the
+    result back.
 
-    ``send`` puts one message on the channel to the parent: ``put`` of the
-    farm's shared queue, or ``send`` of one pool job's pipe.  Messages are
-    tagged tuples ``("event", job_id, attempt, event_dict)`` for in-flight
+    ``send`` puts one message on the job's pipe to the pool worker thread
+    that forked the child.  That thread hands each event to the pool's
+    ``on_event``; an exception from it fails the job.  Messages are tagged
+    tuples ``("event", job_id, attempt, event_dict)`` for in-flight
     telemetry and exactly one terminal ``("result", job_id, attempt,
-    result_dict)``.  ``cancel`` is the job's :class:`multiprocessing.Event`
-    (pool children only), checked by :func:`run_job` between steps.
+    result_dict)``.  ``cancel`` is the job's :class:`multiprocessing.Event`,
+    checked by :func:`run_job` between steps.
     """
     os.environ[_WORKER_ENV] = "1"
     m = MetricsRegistry()
@@ -198,13 +193,13 @@ class SimulationFarm:
         for crash-retry resume, cleaned up afterwards.
     metrics:
         Farm-level registry all per-worker profiles are merged into.
-    poll_seconds:
-        Parent supervision cadence of the process backend.
     on_event:
         Optional callback receiving every worker telemetry event (plain
         dict) as it arrives; the farm's own :attr:`fleet` view is always
-        updated regardless.  May be called from supervision or worker
-        threads — must be thread-safe.
+        updated regardless.  The process backend calls it on pool worker
+        threads, so it must be thread-safe, and an exception from it fails
+        that job rather than unwinding :meth:`run`; the serial backend
+        calls it on the thread running :meth:`run`.
     trace:
         Enable structured tracing: workers run with an enabled
         :class:`repro.trace.Tracer` and the farm merges their spans,
@@ -219,7 +214,6 @@ class SimulationFarm:
         backend: str = "process",
         checkpoint_dir: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
-        poll_seconds: float = 0.02,
         on_event=None,
         trace: bool = False,
         heartbeat_seconds: float = 0.5,
@@ -232,7 +226,6 @@ class SimulationFarm:
         self.backend = backend
         self.checkpoint_dir = checkpoint_dir
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.poll_seconds = poll_seconds
         self.on_event = on_event
         self.trace = trace
         self.heartbeat_seconds = heartbeat_seconds
@@ -266,25 +259,21 @@ class SimulationFarm:
         swept = sweep_orphans(ckpt_dir)
         if swept:
             self.metrics.inc("farm/orphan_checkpoints_swept", len(swept))
+        # serial jobs record into the farm's tracer directly; pool children
+        # trace when it is enabled, and the pool merges each child's trace
+        # into it as the result arrives
+        previous = set_tracer(self.tracer)
         try:
             runner = {
-                "process": self._run_process,
+                "process": self._run_pool,
                 "serial": self._run_serial,
             }[self.backend]
             results = runner(jobs, str(ckpt_dir))
         finally:
+            set_tracer(previous)
             if tmp is not None:
                 tmp.cleanup()
         wall = time.perf_counter() - t0
-        for r in results:
-            self.metrics.merge(r.metrics)
-            if r.trace:
-                # process-backend workers ship their private tracer back;
-                # serial workers already wrote into self.tracer
-                self.tracer.merge(r.trace)
-        self.metrics.inc("farm/jobs", len(results))
-        self.metrics.inc("farm/jobs_completed", sum(1 for r in results if r.ok))
-        self.metrics.inc("farm/jobs_failed", sum(1 for r in results if not r.ok))
         order = {job_id: i for i, job_id in enumerate(ids)}
         results.sort(key=lambda r: order[r.job_id])
         return FarmReport(
@@ -297,149 +286,58 @@ class SimulationFarm:
 
     # ------------------------------------------------------------------
     def _run_serial(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
-        previous = set_tracer(self.tracer)
+        results = [
+            run_job(
+                spec,
+                ckpt_dir,
+                metrics=MetricsRegistry(),
+                on_event=self._dispatch_event,
+                heartbeat_seconds=self.heartbeat_seconds,
+            )
+            for spec in jobs
+        ]
+        for r in results:
+            self.metrics.merge(r.metrics)
+        self.metrics.inc("farm/jobs", len(results))
+        self.metrics.inc("farm/jobs_completed", sum(1 for r in results if r.ok))
+        self.metrics.inc("farm/jobs_failed", sum(1 for r in results if not r.ok))
+        return results
+
+    def _run_pool(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
+        """Run the batch through a :class:`Pool`, which merges and counts
+        each result as it delivers it."""
+        results: list[JobResult] = []
+        pool = Pool(
+            workers=self.workers,
+            checkpoint_dir=ckpt_dir,
+            metrics=self.metrics,
+            on_event=self._dispatch_event,
+            on_result=results.append,
+            heartbeat_seconds=self.heartbeat_seconds,
+        )
         try:
-            return [
-                run_job(
-                    spec,
-                    ckpt_dir,
-                    metrics=MetricsRegistry(),
-                    on_event=self._dispatch_event,
-                    heartbeat_seconds=self.heartbeat_seconds,
-                )
-                for spec in jobs
-            ]
-        finally:
-            set_tracer(previous)
-
-    # ------------------------------------------------------------------
-    def _run_process(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
-        ctx = _fork_context()
-        out_queue: mp.Queue = ctx.Queue()
-        pending: deque[tuple[JobSpec, int]] = deque((spec, 0) for spec in jobs)
-        running: dict[str, tuple[mp.Process, JobSpec, int, float]] = {}
-        results: dict[str, JobResult] = {}
-
-        def reap(job_id: str, spec: JobSpec, attempt: int, reason: str) -> None:
-            """Handle a worker that died or overran without reporting."""
-            self.metrics.inc(f"farm/{reason}")
-            if attempt < spec.max_retries:
-                self.metrics.inc("farm/retries")
-                pending.append((spec, attempt + 1))
-            else:
-                results[job_id] = JobResult(
-                    job_id=job_id,
-                    status="failed",
-                    retries=attempt,
-                    error=f"worker {reason} after {attempt + 1} attempt(s)",
-                )
-
-        def drain(block_seconds: float) -> None:
-            """Dispatch queued worker messages: events to the fleet, results in."""
-            block = block_seconds
-            while True:
-                try:
-                    tag, job_id, attempt, payload = out_queue.get(timeout=block)
-                except queue_mod.Empty:
-                    return
-                block = 0.0  # only the first get blocks
-                if tag == "event":
-                    self._dispatch_event(payload)
-                    continue
-                result_dict = payload
-                entry = running.get(job_id)
-                if entry is not None and entry[2] == attempt:
-                    proc = entry[0]
-                    # bounded join: the result is already in hand, so a
-                    # worker whose queue feeder hangs must not stall the
-                    # supervision loop (and every other job's timeout)
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        self.metrics.inc("farm/lingering_workers")
-                        proc.terminate()
-                        proc.join(5.0)
-                        if proc.is_alive():  # pragma: no cover - stubborn worker
-                            proc.kill()
-                            proc.join(5.0)
-                    proc.close()
-                    del running[job_id]
-                    results[job_id] = JobResult.from_dict(result_dict)
-                # else: stale result of a superseded attempt — drop it
-
-        while pending or running:
-            while pending and len(running) < self.workers:
-                spec, attempt = pending.popleft()
-                proc = ctx.Process(
-                    target=_process_worker_entry,
-                    args=(
-                        spec.to_dict(),
-                        ckpt_dir,
-                        attempt,
-                        out_queue.put,
-                        self.trace,
-                        self.heartbeat_seconds,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                deadline = (
-                    time.monotonic() + spec.timeout_seconds
-                    if spec.timeout_seconds is not None
-                    else float("inf")
-                )
-                running[spec.job_id] = (proc, spec, attempt, deadline)
-
-            drain(self.poll_seconds)
-
-            now = time.monotonic()
-            for job_id, (proc, spec, attempt, deadline) in list(running.items()):
-                if job_id not in running:
-                    continue  # completed during a grace drain below
-                if not proc.is_alive():
-                    # the exit may have raced its own result through the
-                    # queue: give the pipe a moment before declaring death
-                    grace = time.monotonic() + 0.5
-                    while job_id in running and time.monotonic() < grace:
-                        drain(0.02)
-                    if job_id not in running:
-                        continue
-                    proc.join()
-                    proc.close()
-                    del running[job_id]
-                    reap(job_id, spec, attempt, "worker_deaths")
-                elif now >= deadline:
-                    # the worker may have finished right at the deadline
-                    # with its result still in the pipe: grace-drain before
-                    # declaring a timeout, exactly like the death path
-                    grace = time.monotonic() + 0.5
-                    while job_id in running and time.monotonic() < grace:
-                        drain(0.02)
-                    if job_id not in running:
-                        continue
-                    proc.terminate()
-                    proc.join(5.0)
-                    if proc.is_alive():  # pragma: no cover - stubborn worker
-                        proc.kill()
-                        proc.join(5.0)
-                    proc.close()
-                    del running[job_id]
-                    reap(job_id, spec, attempt, "timeouts")
-        out_queue.close()
-        return list(results.values())
+            for spec in jobs:
+                pool.submit(spec)
+            pool.shutdown(drain=True)
+        except BaseException:
+            pool.shutdown(drain=False)
+            raise
+        return results
 
 
 # ----------------------------------------------------------------------
-# the long-lived pool behind the serve tier
+# the one child supervisor: the farm's process backend and the serve tier
 # ----------------------------------------------------------------------
 class Pool:
-    """A long-lived, *resizable* worker pool executing farm jobs.
+    """A *resizable* worker pool executing farm jobs in child processes.
 
-    Where :class:`SimulationFarm` is batch-shaped (run one job list, exit),
-    a :class:`Pool` stays up for the lifetime of a service: jobs arrive one
-    at a time through :meth:`submit` into a priority queue, a fleet of
+    Jobs arrive through :meth:`submit` into a priority queue, a fleet of
     worker threads pulls them, and finished
     :class:`~repro.farm.jobs.JobResult`\\ s are delivered to the
     ``on_result`` callback (from the worker thread that produced them).
+    :class:`SimulationFarm`'s process backend runs each batch through a
+    pool sized to its ``workers``; :mod:`repro.serve` keeps one up for the
+    lifetime of a service.
 
     Each worker thread runs its job in a child process forked through the
     farm's worker entry, so jobs in flight run on separate cores and the
@@ -464,7 +362,10 @@ class Pool:
       rather than a dead worker.
 
     All public methods are thread-safe; callbacks run on worker threads
-    and must be thread-safe themselves.
+    and must be thread-safe themselves.  A job counts as running until
+    ``on_result`` has returned for it, so :meth:`drain` returns only after
+    every result was delivered, and ``on_result`` must not call
+    :meth:`drain`.
     """
 
     _SENTINEL_PRIORITY = 1 << 30  # wake-up tokens sort after every real job
@@ -477,7 +378,6 @@ class Pool:
         on_event=None,
         on_result=None,
         heartbeat_seconds: float = 0.5,
-        poll_seconds: float = 0.05,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -486,12 +386,12 @@ class Pool:
         self.on_event = on_event
         self.on_result = on_result
         self.heartbeat_seconds = heartbeat_seconds
-        self.poll_seconds = poll_seconds
         if self.checkpoint_dir is not None:
             swept = sweep_orphans(self.checkpoint_dir)
             if swept:
                 self.metrics.inc("farm/orphan_checkpoints_swept", len(swept))
-        self._ctx = _fork_context()
+        methods = mp.get_all_start_methods()  # children fork where available
+        self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self._queue: queue_mod.PriorityQueue = queue_mod.PriorityQueue()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -609,6 +509,7 @@ class Pool:
                     self._threads.append(t)
             elif deficit < 0:
                 self._excess += -deficit
+                self._wake(-deficit)
                 self.metrics.inc("farm/pool/shrink_requests", -deficit)
         # start outside the lock: a worker's first action is taking it
         if spawn:
@@ -627,7 +528,7 @@ class Pool:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
-                self._idle.wait(remaining if remaining is not None else 1.0)
+                self._idle.wait(remaining)
         return True
 
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> bool:
@@ -650,6 +551,7 @@ class Pool:
                 flags = list(self._running.values())
                 self._cancelled.update(self._running)
             self._target = 0
+            self._wake(len(self._threads) - self._excess)
             self._excess = len(self._threads)
             threads = list(self._threads)
             self._idle.notify_all()
@@ -664,6 +566,14 @@ class Pool:
         return ok
 
     # ------------------------------------------------------------------
+    def _wake(self, n: int) -> None:
+        """Queue one wake-up token per worker newly asked to exit, so an
+        idle one blocked on the queue re-checks the shrink debt (caller
+        holds the lock)."""
+        for _ in range(n):
+            self._seq += 1
+            self._queue.put((self._SENTINEL_PRIORITY, self._seq, None))
+
     def _deliver(self, result: JobResult) -> None:
         if result.trace:
             # the child's private tracer joins this process's trace here,
@@ -689,49 +599,51 @@ class Pool:
                     self._threads.remove(me)
                     self.metrics.inc("farm/pool/drained_exits")
                     return
-            try:
-                _prio, _seq, spec = self._queue.get(timeout=self.poll_seconds)
-            except queue_mod.Empty:
-                continue
+            _prio, _seq, spec = self._queue.get()
+            if spec is None:
+                continue  # a wake-up token: re-check the shrink debt
             flag = self._ctx.Event()
             with self._lock:
                 if self._queued.pop(spec.job_id, None) is None:
                     continue  # shutdown already delivered it as cancelled
-                queued_at = self._queued_at.pop(spec.job_id, None)
+                queued_at = self._queued_at.pop(spec.job_id)
                 cancelled = spec.job_id in self._cancelled
-                if cancelled:
-                    self._cancelled.discard(spec.job_id)
-                else:
-                    self._running[spec.job_id] = flag
-            if cancelled:
-                self._deliver(JobResult(job_id=spec.job_id, status="cancelled"))
-                with self._idle:
-                    self._idle.notify_all()
-                continue
-            if queued_at is not None:
-                self._queue_wait_hist.observe(time.monotonic() - queued_at)
-            run_started = time.perf_counter()
+                self._running[spec.job_id] = flag
             proc = None
             try:
-                result, proc = self._supervise(spec, flag)
-            except Exception as exc:  # harness error: report, keep the worker
-                result = JobResult(
-                    job_id=spec.job_id,
-                    status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            self._job_run_hist.observe(
-                time.perf_counter() - run_started, status=result.status
+                if cancelled:
+                    result = JobResult(job_id=spec.job_id, status="cancelled")
+                else:
+                    self._queue_wait_hist.observe(time.monotonic() - queued_at)
+                    result, proc = self._run(spec, flag)
+                self._deliver(result)
+            finally:
+                # running until delivered, so drain() waits for on_result
+                with self._idle:
+                    self._running.pop(spec.job_id, None)
+                    self._cancelled.discard(spec.job_id)
+                    self._idle.notify_all()
+                # the reporting child's exit (a few ms) and any lingering are
+                # the pool's business, not the caller's latency
+                if proc is not None and _reap(proc, _LINGER_SECONDS):
+                    self.metrics.inc("farm/lingering_workers")
+
+    def _run(
+        self, spec: JobSpec, flag
+    ) -> tuple[JobResult, mp.process.BaseProcess | None]:
+        """:meth:`_supervise`, timed; a harness error becomes a failed result."""
+        run_started = time.perf_counter()
+        proc = None
+        try:
+            result, proc = self._supervise(spec, flag)
+        except Exception as exc:  # harness error: report, keep the worker
+            result = JobResult(
+                job_id=spec.job_id,
+                status="failed",
+                error=f"{type(exc).__name__}: {exc}",
             )
-            with self._idle:
-                self._running.pop(spec.job_id, None)
-                self._cancelled.discard(spec.job_id)
-                self._idle.notify_all()
-            # deliver first: the reporting child's exit (a few ms) and any
-            # lingering are the pool's business, not the caller's latency
-            self._deliver(result)
-            if proc is not None and _reap(proc, _LINGER_SECONDS):
-                self.metrics.inc("farm/lingering_workers")
+        self._job_run_hist.observe(time.perf_counter() - run_started, status=result.status)
+        return result, proc
 
     def _supervise(
         self, spec: JobSpec, flag

@@ -3,11 +3,10 @@
 Workers emit small plain-dict *events* while they run — ``job_start``,
 throttled ``heartbeat`` progress beats, ``checkpoint``, ``resume``,
 ``pcg_fallback`` degradations and a terminal ``job_end`` — over the same
-channel that
-carries their results (the process backend's queue, or a direct callback
-for the in-process backends).  :class:`FleetView` folds that stream into
-one thread-safe table of per-job state, and :func:`render_fleet` formats
-it as the text dashboard behind ``repro top``.
+channel that carries their results (each pool child's pipe, or a direct
+callback for the serial backend).  :class:`FleetView` folds that stream
+into one thread-safe table of per-job state, and :func:`render_fleet`
+formats it as the text dashboard behind ``repro top``.
 
 Events are deliberately independent of :mod:`repro.trace`: heartbeats flow
 even when tracing is disabled, so the live view costs nothing but a dict
@@ -93,8 +92,8 @@ class FleetView:
 
     ``observe`` accepts the plain event dicts workers emit and updates the
     corresponding :class:`JobView`; readers take consistent snapshots with
-    :meth:`jobs`.  The pool's supervision thread and any number of renderer
-    threads may call in concurrently.
+    :meth:`jobs`.  Pool worker threads and any number of renderer threads
+    may call in concurrently.
     """
 
     def __init__(self):
@@ -129,9 +128,9 @@ class FleetView:
     def observe(self, event: dict) -> None:
         """Fold one worker event into the fleet state (unknown types kept).
 
-        Deliberately crash-proof: events arrive over queues from many
-        workers and may be malformed, duplicated or out of order, and a
-        telemetry fold must never take the supervision loop down.
+        Deliberately crash-proof: events arrive over pipes from many
+        children and may be malformed, duplicated or out of order, and a
+        telemetry fold must never fail the job whose event it folds.
         Malformed fields are ignored, ``step`` is monotonic within an
         attempt, and terminal states (``completed``/``failed``/
         ``cancelled``) are sticky — a late ``heartbeat`` or ``job_start``

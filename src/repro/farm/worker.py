@@ -1,8 +1,8 @@
 """Job execution: one :class:`JobSpec` in, one :class:`JobResult` out.
 
 :func:`run_job` is the whole lifecycle of a simulation job and is backend
-agnostic — the farm's process backend and the serve tier's pool call it
-in a forked child process, the serial backend inline:
+agnostic — the pool behind the farm's process backend and the serve tier
+calls it in a forked child process, the serial backend inline:
 
 1. build the input problem and the requested solver;
 2. resume from the job's checkpoint if one exists (a previous attempt was
@@ -141,13 +141,12 @@ def run_job(
     in the process tracer (:func:`repro.trace.get_tracer`) when enabled.
 
     ``attach_trace=True`` ships the process tracer's snapshot inside
-    ``JobResult.trace``.  The farm's process backend and the serve pool
-    set it — their children own a private per-process tracer — while the
-    serial backend shares the farm's tracer, whose data would be
-    duplicated per job.
+    ``JobResult.trace``.  The pool sets it — its children own a private
+    per-process tracer — while the serial backend shares the farm's
+    tracer, whose data would be duplicated per job.
 
     ``cancel``, when given, is an :class:`~threading.Event`-like object
-    (the serve pool passes a :class:`multiprocessing.Event`) checked
+    (the pool passes a :class:`multiprocessing.Event`) checked
     between steps: once set, the job stops at the next step boundary with
     ``status="cancelled"`` (the serve tier's cooperative cancellation for
     already-running jobs).

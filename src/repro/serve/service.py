@@ -274,7 +274,6 @@ class SimulationService:
             on_event=self._on_pool_event,
             on_result=self._on_pool_result,
             heartbeat_seconds=self.heartbeat_seconds,
-            poll_seconds=0.02,
         )
         self.autoscaler = Autoscaler(
             self.pool,

@@ -192,6 +192,44 @@ class TestProcessBackend:
             assert p.final_divnorm == s.final_divnorm
             assert p.cum_divnorm == s.cum_divnorm
 
+    @staticmethod
+    def _under_caller_tracer(farm, jobs):
+        """Run ``farm`` with an enabled process tracer installed by the
+        caller, as a benchmark's trace scope does; returns that tracer."""
+        from repro.trace import Tracer, get_tracer, set_tracer
+
+        caller = Tracer(enabled=True)
+        previous = set_tracer(caller)
+        try:
+            farm.run(jobs)
+            assert get_tracer() is caller  # restored after the run
+        finally:
+            set_tracer(previous)
+        return caller
+
+    def test_children_trace_into_the_farm_tracer_not_the_callers(self):
+        import os
+
+        farm = SimulationFarm(workers=2, backend="process", trace=True)
+        caller = self._under_caller_tracer(farm, make_jobs(2))
+        job_spans = [s for s in farm.tracer.spans() if s.name == "job"]
+        assert sorted(s.attrs["job_id"] for s in job_spans) == ["job-0", "job-1"]
+        assert os.getpid() not in {s.pid for s in job_spans}  # ran in children
+        assert caller.spans() == []
+
+    def test_untraced_farm_children_record_no_spans(self):
+        farm = SimulationFarm(workers=2, backend="process", trace=False)
+        caller = self._under_caller_tracer(farm, make_jobs(2))
+        assert farm.tracer.spans() == []
+        assert caller.spans() == []
+
+    def test_counters_match_the_serial_backend(self):
+        """Each result is merged and counted once (a double merge doubles them)."""
+        serial = SimulationFarm(backend="serial").run(make_jobs(3)).metrics
+        process = SimulationFarm(workers=2, backend="process").run(make_jobs(3)).metrics
+        for name, expected in (("sim/steps", 9), ("farm/jobs", 3), ("farm/jobs_completed", 3)):
+            assert process.counter(name) == serial.counter(name) == expected, name
+
 
 class TestFarmReport:
     def test_throughput_properties(self):
@@ -227,7 +265,7 @@ class TestResizablePool:
             with lock:
                 results.append(r)
 
-        return Pool(workers=workers, on_result=on_result, poll_seconds=0.01, **kwargs)
+        return Pool(workers=workers, on_result=on_result, **kwargs)
 
     @staticmethod
     def _wait(predicate, timeout=30.0):
@@ -267,6 +305,30 @@ class TestResizablePool:
         # the excess workers exit at a job boundary shortly after
         assert self._wait(lambda: pool.alive == 1)
         assert pool.metrics.counter("farm/pool/drained_exits") >= 2
+        pool.shutdown()
+
+    def test_drain_returns_after_the_last_result_is_delivered(self):
+        """drain() returns only once on_result has returned for every job.
+
+        Regression: a worker dropped its job from the running set before
+        delivering the result, so drain() returned True while a slow
+        on_result had yet to see any result.
+        """
+        import time
+
+        from repro.farm.pool import Pool
+
+        results = []
+
+        def slow_on_result(r):
+            time.sleep(0.3)
+            results.append(r)
+
+        pool = Pool(workers=2, on_result=slow_on_result)
+        for i in range(2):
+            pool.submit(JobSpec(job_id=f"d{i}", grid_size=12, steps=1, seed=i))
+        assert pool.drain(timeout=60)
+        assert sorted(r.job_id for r in results) == ["d0", "d1"]
         pool.shutdown()
 
     def test_grow_after_shrink_pays_down_drain_debt_first(self):

@@ -53,7 +53,6 @@ class TestAutoscalerOnPool:
             workers=workers,
             metrics=MetricsRegistry(),
             on_result=on_result,
-            poll_seconds=0.01,
         )
 
     def test_grows_with_queue_depth(self):

@@ -74,6 +74,7 @@ class TestSigtermShutdown:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
 
         # the drained job's result was cached and the LRU index persisted
         cache = tmp_path / "cache"
