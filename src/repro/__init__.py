@@ -54,9 +54,10 @@ Subpackages
     multiprocessing worker pool with timeouts/retries, atomic ``.npz``
     checkpoint/resume and graceful degradation to exact PCG.
 ``repro.metrics``
-    Runtime counters/timers with hierarchical scopes and JSON export.
+    Runtime counters and span timings with hierarchical scopes and JSON
+    export.
 ``repro.trace``
-    Structured tracing: nested spans, histogram metrics with percentiles,
+    Structured tracing: nested spans, per-span-name percentile summaries,
     typed step-event streams, JSONL and Chrome ``trace_event`` export.
 ``repro.experiments``
     One module per table/figure of the paper's evaluation.

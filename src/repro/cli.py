@@ -23,8 +23,8 @@ the registry with per-scenario parameter docs.
 ``simulate`` and ``adaptive`` accept ``--json`` for structured output: the
 per-step records plus the run's full metrics profile, suitable for piping
 into analysis tools.  ``simulate``, ``adaptive`` and ``farm`` accept
-``--trace PATH`` to record a structured timeline (nested spans, typed step
-events, latency histograms) and write it in Chrome ``trace_event`` format —
+``--trace PATH`` to record a structured timeline (nested spans and typed
+step events) and write it in Chrome ``trace_event`` format —
 loadable in Perfetto / ``chrome://tracing`` and readable back with
 ``repro trace``.  The common ``--grid/--seed/--steps`` options are defined
 once on shared parent parsers.
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     tracing = argparse.ArgumentParser(add_help=False)
     tracing.add_argument(
         "--trace", type=str, default=None, metavar="PATH",
-        help="record a structured trace (spans + step events + histograms) "
+        help="record a structured trace (spans + step events) "
         "and write it as a Chrome trace_event file at PATH",
     )
 
@@ -372,7 +372,7 @@ def _cmd_simulate(args) -> int:
         build_scenario,
         parse_scenario,
     )
-    from repro.metrics import MetricsRegistry
+    from repro.metrics import MetricsRegistry, set_metrics
     from repro import viz
 
     metrics = MetricsRegistry()
@@ -419,8 +419,12 @@ def _cmd_simulate(args) -> int:
     config = SimulationConfig(**overrides) if overrides else None
     sim = FluidSimulator(grid, solver, driver, config=config, metrics=metrics)
     t0 = time.perf_counter()
-    with _TraceRecorder(args.trace):
-        result = sim.run(args.steps)
+    previous = set_metrics(metrics)  # kernel builds and plan compiles too
+    try:
+        with _TraceRecorder(args.trace):
+            result = sim.run(args.steps)
+    finally:
+        set_metrics(previous)
     dt = time.perf_counter() - t0
     if args.json:
         print(

@@ -32,8 +32,8 @@ from repro.fluid import (
     SimulationConfig,
     SimulationResult,
 )
+from repro.metrics import get_metrics
 from repro.models import ArchSpec, TrainedModel, tompson_arch, train_model
-from repro.trace import get_tracer
 
 from .construction import ConstructionConfig, construct_model_family
 from .knn import QlossKNNPredictor
@@ -369,7 +369,7 @@ class SmartFluidnet:
         sim = FluidSimulator(grid, controller.initial_solver(), source, cfg.simulation, controller)
         t0 = time.perf_counter()
         restarted = False
-        with get_tracer().span(
+        with get_metrics().span(
             "adaptive", steps=steps, start_model=controller.current.name
         ) as sp:
             try:

@@ -28,6 +28,7 @@ process cannot survive.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -50,6 +51,8 @@ from .worker import _WORKER_ENV, run_job
 __all__ = ["FarmReport", "SimulationFarm", "Pool", "BACKENDS"]
 
 BACKENDS = ("process", "serial")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -202,8 +205,8 @@ class SimulationFarm:
         calls it on the thread running :meth:`run`.
     trace:
         Enable structured tracing: workers run with an enabled
-        :class:`repro.trace.Tracer` and the farm merges their spans,
-        events and histograms into :attr:`tracer`.
+        :class:`repro.trace.Tracer` and the farm merges their spans and
+        events into :attr:`tracer`.
     heartbeat_seconds:
         Minimum spacing of per-job ``heartbeat`` progress events.
     """
@@ -365,7 +368,9 @@ class Pool:
     and must be thread-safe themselves.  A job counts as running until
     ``on_result`` has returned for it, so :meth:`drain` returns only after
     every result was delivered, and ``on_result`` must not call
-    :meth:`drain`.
+    :meth:`drain`.  An exception from ``on_result`` is logged, counted as
+    ``farm/pool/on_result_errors`` and dropped: the worker that delivered
+    the result lives on and takes the next job.
     """
 
     _SENTINEL_PRIORITY = 1 << 30  # wake-up tokens sort after every real job
@@ -588,7 +593,11 @@ class Pool:
         )
         self._jobs_by_status.inc(status=result.status)
         if self.on_result is not None:
-            self.on_result(result)
+            try:
+                self.on_result(result)
+            except Exception:  # a failing callback must not kill its worker
+                self.metrics.inc("farm/pool/on_result_errors")
+                _log.exception("on_result raised for job %r", result.job_id)
 
     def _worker_loop(self) -> None:
         me = threading.current_thread()

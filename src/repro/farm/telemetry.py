@@ -102,18 +102,8 @@ class FleetView:
         self._counters: dict[str, int] = {}
         self.events_seen = 0
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment a named fleet counter (admission rejects, cache hits, …).
-
-        Counters are free-form so callers outside the farm (the serve tier)
-        can surface their own tallies in the fleet header without the view
-        needing to know about them up front.
-        """
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
     def counters(self) -> dict[str, int]:
-        """Snapshot of named fleet counters, sorted by name."""
+        """Event-fed fleet counters (``pcg_fallbacks``, ``resumes``), by name."""
         with self._lock:
             return dict(sorted(self._counters.items()))
 

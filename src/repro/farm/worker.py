@@ -179,7 +179,7 @@ def run_job(
         return FluidSimulator(grid, solver, driver, config=config, metrics=m)
 
     solver_kind = spec.solver
-    with tr.span("job", job_id=spec.job_id, attempt=attempt) as job_span:
+    with m.span("job", job_id=spec.job_id, attempt=attempt) as job_span:
         sim = make_sim(solver_kind)
         resumed_from: int | None = None
         if ckpt is not None:

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from repro.trace import get_tracer
+from repro.metrics import get_metrics
 
 from .laplacian import stencil_arrays
 
@@ -92,7 +92,7 @@ class GeometryKernels:
     """
 
     def __init__(self, solid: np.ndarray):
-        with get_tracer().span("kernels/build") as sp:
+        with get_metrics().span("kernels/build") as sp:
             self._build(solid)
             if sp is not None:
                 sp.attrs["cells"] = self.n

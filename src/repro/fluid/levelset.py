@@ -30,7 +30,6 @@ from scipy.ndimage import distance_transform_edt, label
 from scipy.sparse.linalg import splu
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import get_tracer
 
 from .advection import _backtrace_centers
 from .grid import CellType, MACGrid2D
@@ -132,7 +131,7 @@ class FreeSurfaceSolver(PressureSolver):
             )
         closed = ~liquid  # solid + air: everything excluded from the solve
         air = closed & ~solid
-        with get_tracer().span("solve/free_surface") as span:
+        with m.span("solve/free_surface") as span:
             kern, matrix, lu = self._cache.get(
                 closed, lambda: self._factorize(closed, air), m
             )
@@ -141,6 +140,8 @@ class FreeSurfaceSolver(PressureSolver):
             rnorm = float(np.abs(matrix @ pf - bf).max()) if kern.n else 0.0
             if span is not None:
                 span.attrs["cells"] = kern.n
+        m.inc("solver/free_surface/solves")
+        m.inc("solver/free_surface/iterations")
         return SolveResult(
             pressure=kern.scatter(pf),
             iterations=1,

@@ -156,7 +156,7 @@ class MultigridSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Iterate V-cycles until the residual drops below tolerance."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"):
+        with metrics.span(f"solve/{self.name}"):
             result = self._solve(b, solid, metrics)
         metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)

@@ -64,8 +64,6 @@ returned pressure is nullspace-free.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.metrics import MetricsRegistry, get_metrics
@@ -174,7 +172,7 @@ class NNPCGSolver(PressureSolver):
         the quality of proposed directions, never the residual accounting,
         so convergence checks stay PCG-grade.
     metrics:
-        Registry receiving solver counters/timers; defaults to the
+        Registry receiving solver counters and spans; defaults to the
         process-wide registry.
     """
 
@@ -243,32 +241,18 @@ class NNPCGSolver(PressureSolver):
         plan = self._plans.get(shape)
         if plan is not None:
             return plan
-        tracer = get_tracer()
-        build_started = time.perf_counter()
         try:
-            with metrics.timer(f"solver/{self.name}/plan_build"):
-                with tracer.span("plan_build", solver=self.name) as bsp:
-                    plan = InferencePlan(
-                        self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
-                    )
+            with metrics.span("plan_build", solver=self.name, precision=self.precision):
+                plan = InferencePlan(
+                    self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
+                )
         except PlanError:
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         self._plans[shape] = plan
         metrics.inc(f"solver/{self.name}/plan_builds")
-        metrics.families.histogram(
-            "nn_plan_build_seconds",
-            help="InferencePlan compile time by solver and precision.",
-            labels=("solver", "precision"),
-            unit="seconds",
-        ).observe(
-            time.perf_counter() - build_started,
-            exemplar=bsp.span_id if bsp is not None else None,
-            solver=self.name,
-            precision=self.precision,
-        )
-        tracer.event(
+        get_tracer().event(
             "plan_build",
             solver=self.name,
             shape=list(shape),
@@ -344,8 +328,7 @@ class NNPCGSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        tr = get_tracer()
-        with metrics.timer(f"solver/{self.name}/solve"), tr.span(
+        with metrics.span(
             f"solve/{self.name}", precision=self.precision, window=self.window
         ) as sp:
             result, nn_steps, safeguard_steps = self._solve(b, solid, metrics)
@@ -354,9 +337,6 @@ class NNPCGSolver(PressureSolver):
                 sp.attrs["converged"] = result.converged
                 sp.attrs["nn_steps"] = nn_steps
                 sp.attrs["safeguard_steps"] = safeguard_steps
-        # per-solve iteration distribution (log-bucket histogram, mergeable
-        # across workers like the span-latency histograms)
-        tr.observe(f"solve/{self.name}/iterations", float(result.iterations))
         metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)
         metrics.inc(f"solver/{self.name}/nn_steps", nn_steps)

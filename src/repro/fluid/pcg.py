@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import get_tracer
 
 from .kernels import GeometryKernels
 from .laplacian import remove_nullspace, stencil_arrays
@@ -150,7 +149,7 @@ class PCGSolver(PressureSolver):
         unchanged.  Converges to the same tolerance in (typically) fewer
         iterations; off by default for history-independent results.
     metrics:
-        Registry receiving solver counters/timers; defaults to the
+        Registry receiving solver counters and spans; defaults to the
         process-wide registry.
     """
 
@@ -219,9 +218,7 @@ class PCGSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"), get_tracer().span(
-            f"solve/{self.name}"
-        ) as sp:
+        with metrics.span(f"solve/{self.name}") as sp:
             result = self._solve_kernel(b, solid, metrics)
             if sp is not None:
                 sp.attrs["iterations"] = result.iterations
@@ -342,9 +339,7 @@ class JacobiSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Run (damped) Jacobi sweeps; converged only if ``tol`` was hit."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"), get_tracer().span(
-            f"solve/{self.name}"
-        ):
+        with metrics.span(f"solve/{self.name}"):
             kern: GeometryKernels = self._kernels_cache.get(
                 solid, lambda: GeometryKernels(solid), metrics
             )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import Tracer, get_tracer
 
 from .grid import MACGrid2D
 from .laplacian import poisson_rhs
@@ -47,13 +46,11 @@ def project(
     dt: float,
     rho: float = 1.0,
     metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
 ) -> ProjectionInfo:
     """Make the grid velocity (approximately) divergence-free, in place."""
     m = metrics if metrics is not None else get_metrics()
-    tr = tracer if tracer is not None else get_tracer()
     name = getattr(solver, "name", type(solver).__name__)
-    with tr.span("projection", solver=name) as sp:
+    with m.span("projection", solver=name) as sp:
         grid.enforce_solid_boundaries()
         div = divergence(grid)
         pre = float(np.abs(div[grid.fluid]).max()) if grid.fluid.any() else 0.0
@@ -61,9 +58,6 @@ def project(
         t0 = time.perf_counter()
         res = solver.solve(b, grid.solid)
         dt_solve = time.perf_counter() - t0
-        m.observe("projection/solve", dt_solve)
-        m.inc("projection/solves")
-        m.inc(f"projection/by_solver/{name}", 1.0)
         grid.pressure = res.pressure
         pressure_gradient_update(grid, res.pressure, dt, rho)
         post_div = divergence(grid)

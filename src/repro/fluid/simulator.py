@@ -26,7 +26,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import Event, Tracer, get_tracer
+from repro.trace import Event, get_tracer
 
 from .advection import advect_scalar, advect_velocity, maccormack_scalar
 from .forces import add_buoyancy, add_vorticity_confinement
@@ -155,7 +155,6 @@ class FluidSimulator:
         config: SimulationConfig | None = None,
         controller: Callable[["FluidSimulator", StepRecord], None] | None = None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
     ):
         self.grid = grid
         self.solver = solver
@@ -163,7 +162,6 @@ class FluidSimulator:
         self.config = config or SimulationConfig()
         self.controller = controller
         self.metrics = metrics
-        self.tracer = tracer
         self.weights = divnorm_weights(grid.solid, self.config.divnorm_k)
         self._weights_key = grid.solid.tobytes()
         self.records: list[StepRecord] = []
@@ -174,8 +172,8 @@ class FluidSimulator:
         #: step index where the current segment began (0 unless restored)
         self._segment_start = 0
 
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
+    def _registry(self) -> MetricsRegistry:
+        return self.metrics if self.metrics is not None else get_metrics()
 
     def _refresh_weights(self) -> None:
         """Recompute DivNorm weights when the solid mask has changed.
@@ -193,13 +191,12 @@ class FluidSimulator:
         """Advance the simulation by one time step."""
         cfg = self.config
         g = self.grid
-        m = self.metrics if self.metrics is not None else get_metrics()
-        tr = self._tracer()
+        m = self._registry()
         t0 = time.perf_counter()
-        with m.scope("sim"), tr.span("step", step=self._step):
+        with m.scope("sim"), m.span("step", step=self._step):
             if self.source is not None:
                 self.source.apply(g, cfg.dt)
-            with m.timer("advection"), tr.span("advection"):
+            with m.span("advection"):
                 if cfg.maccormack:
                     g.density = maccormack_scalar(g, g.density, cfg.dt)
                 else:
@@ -207,11 +204,11 @@ class FluidSimulator:
                 new_u, new_v = advect_velocity(g, cfg.dt)
                 g.u, g.v = new_u, new_v
             g.enforce_solid_boundaries()
-            with m.timer("forces"), tr.span("forces"):
+            with m.span("forces"):
                 add_buoyancy(g, cfg.dt, cfg.buoyancy)
                 if cfg.vorticity_eps > 0:
                     add_vorticity_confinement(g, cfg.dt, cfg.vorticity_eps)
-            info = project(g, self.solver, cfg.dt, cfg.rho, metrics=m, tracer=tr)
+            info = project(g, self.solver, cfg.dt, cfg.rho, metrics=m)
             self._refresh_weights()
             divnorm = compute_divnorm(g, self.weights)
             rec = StepRecord(
@@ -221,17 +218,6 @@ class FluidSimulator:
                 step_seconds=time.perf_counter() - t0,
             )
             m.inc("steps")
-            m.inc("solver_iterations", info.iterations)
-            m.observe("step", rec.step_seconds)
-        if m.enabled:
-            # labeled step-latency distribution: the per-solver tail (p99)
-            # that flat timers average away
-            m.families.histogram(
-                "sim_step_seconds",
-                help="Wall-clock per simulation step by pressure solver.",
-                labels=("solver",),
-                unit="seconds",
-            ).observe(rec.step_seconds, solver=info.solver_name)
         # the typed step-event stream: always recorded (it is the source of
         # truth for divnorm trajectories), mirrored into the tracer when on
         now = time.time()
@@ -250,6 +236,7 @@ class FluidSimulator:
         )
         self.timeline.append(ev_div)
         self.timeline.append(ev_step)
+        tr = get_tracer()
         tr.record(ev_div)
         tr.record(ev_step)
         self.records.append(rec)
@@ -261,7 +248,7 @@ class FluidSimulator:
     def run(self, n_steps: int) -> SimulationResult:
         """Run ``n_steps`` steps and return the result (density + records)."""
         t0 = time.perf_counter()
-        with self._tracer().span("sim", steps=n_steps, start_step=self._step):
+        with self._registry().span("sim", steps=n_steps, start_step=self._step):
             for _ in range(n_steps):
                 self.step()
         return SimulationResult(

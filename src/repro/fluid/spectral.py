@@ -61,7 +61,7 @@ class SpectralSolver(PressureSolver):
         Solver used when the geometry is not spectral-eligible (interior
         solids / missing wall).  Defaults to ``PCGSolver(tol=tol)``.
     metrics:
-        Registry receiving counters/timers; defaults to the process-wide
+        Registry receiving counters and spans; defaults to the process-wide
         registry.  Fallback dispatches are counted as
         ``solver/spectral/fallbacks``.
     """
@@ -94,7 +94,7 @@ class SpectralSolver(PressureSolver):
         if not spectral_eligible(solid):
             metrics.inc(f"solver/{self.name}/fallbacks")
             return self.fallback.solve(b, solid)
-        with metrics.timer(f"solver/{self.name}/solve"):
+        with metrics.span(f"solve/{self.name}"):
             result = self._solve(b, solid, metrics)
         metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)

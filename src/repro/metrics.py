@@ -1,4 +1,4 @@
-"""Runtime performance metrics: counters, timers, scopes, JSON export.
+"""Runtime performance metrics: counters, spans, scopes, JSON export.
 
 This module is the observability backbone of the package: the simulator, the
 pressure solvers, the training loop and the adaptive controller all report
@@ -13,16 +13,22 @@ Concepts
 --------
 counters
     Monotonic floats keyed by name (``inc``).
-timers
-    Aggregated wall-clock statistics per name (count/total/min/max), driven
-    by the :meth:`MetricsRegistry.timer` context manager.
+spans
+    :meth:`MetricsRegistry.span` times a region once: the duration feeds
+    the registry's ``span_seconds{span}`` histogram family and, when the
+    process tracer (:func:`repro.trace.get_tracer`) is enabled, the
+    trace's span of the same name, so aggregates and the timeline cannot
+    disagree.
 scopes
-    Hierarchical name prefixes: inside ``with m.scope("sim")`` every metric
-    name is recorded as ``sim/<name>``, so nested components compose into a
-    readable tree (``sim/projection/pcg/solve``).
+    Hierarchical name prefixes: inside ``with m.scope("sim")`` every
+    counter name is recorded as ``sim/<name>``, so nested components
+    compose into a readable tree (``sim/solver/pcg/solves``).  Span names
+    are not scoped: a span is named the same in the trace and the family.
 export
     ``to_dict``/``to_json`` produce a plain-JSON snapshot; ``from_dict``
     restores it, so profiles round-trip through files losslessly.
+    Snapshots written before spans replaced timers carry a ``timers`` key,
+    which ``from_dict`` ignores.
 
 Instrumented components accept an optional ``metrics`` argument and default
 to the process-wide registry (:func:`get_metrics`), so existing call sites
@@ -40,15 +46,14 @@ per-worker profiles into one farm-level report.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+
+from repro.trace import get_tracer
 
 __all__ = [
-    "TimerStat",
     "MetricsRegistry",
     "NULL_METRICS",
     "get_metrics",
@@ -56,78 +61,8 @@ __all__ = [
     "reset_metrics",
 ]
 
-
-@dataclass
-class TimerStat:
-    """Aggregated wall-clock statistics of one named timer.
-
-    Empty stats are normal forms: ``min = +inf`` and ``max = -inf`` (the
-    identities of min/max), so merging any combination of empty and
-    non-empty stats — including ones restored from snapshots — is exactly
-    commutative and associative, and ``to_dict``/``from_dict`` round-trip
-    bit-for-bit (both bounds serialise as ``null`` when empty).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def add(self, seconds: float) -> None:
-        """Fold one observation into the aggregate."""
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per observation (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "TimerStat") -> None:
-        """Fold another aggregate into this one (commutative)."""
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (``min``/``max`` are null when empty)."""
-        empty = self.count == 0
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": None if empty else self.min,
-            "max": None if empty else self.max,
-            "mean": self.mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimerStat":
-        """Inverse of :meth:`to_dict`.
-
-        Snapshots of empty stats — including historical ones that recorded
-        ``max = 0.0`` with ``count = 0`` — normalise back to the canonical
-        empty form, so a restored empty stat merges as a true identity.
-        """
-        count = int(d["count"])
-        if count == 0:
-            return cls()
-        return cls(
-            count=count,
-            total=float(d["total"]),
-            min=math.inf if d.get("min") is None else float(d["min"]),
-            max=-math.inf if d.get("max") is None else float(d.get("max", 0.0)),
-        )
-
-
 class MetricsRegistry:
-    """Counters + timers with hierarchical scope prefixes and JSON export.
+    """Counters and span timings with hierarchical scopes and JSON export.
 
     A disabled registry (``enabled=False``) turns every operation into a
     cheap no-op, so instrumentation can stay unconditionally in hot paths.
@@ -136,10 +71,11 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.counters: dict[str, float] = {}
-        self.timers: dict[str, TimerStat] = {}
         # labeled metric families (repro.obs); created lazily so flat-only
         # users pay nothing and snapshots without labels stay byte-stable
         self._families = None
+        # span name -> bound ``span_seconds`` series (one lookup per name)
+        self._span_series: dict[str, object] = {}
         # scope prefixes are *thread-local*: concurrent threads (e.g. the
         # serve tier's pool workers) each keep their own stack, so scopes
         # never interleave across threads
@@ -178,7 +114,7 @@ class MetricsRegistry:
 
     @contextmanager
     def scope(self, name: str):
-        """Prefix every metric recorded inside the block with ``name/``.
+        """Prefix every counter recorded inside the block with ``name/``.
 
         The prefix applies to the current thread only.
         """
@@ -200,27 +136,43 @@ class MetricsRegistry:
         self.counters[key] = self.counters.get(key, 0.0) + value
 
     @contextmanager
-    def timer(self, name: str):
-        """Time the block's wall-clock and fold it into timer ``name``."""
-        if not self.enabled:
-            yield
+    def span(self, name: str, **attrs):
+        """Time the block once, for this registry and the process trace.
+
+        One ``perf_counter`` pair measures the block.  When this registry
+        is enabled the duration lands in its ``span_seconds`` histogram
+        under ``span=name``; when the process tracer is enabled it becomes
+        the ``dur`` of a trace span named ``name`` with ``attrs``, whose
+        id is the series exemplar.  Yields that live
+        :class:`~repro.trace.Span` (its ``attrs`` may be filled in during
+        the block), or None when the tracer is off.
+        """
+        tracer = get_tracer()
+        series = self._span_series_of(name) if self.enabled else None
+        if series is None and not tracer.enabled:
+            yield None
             return
-        key = self._qualify(name)  # resolve before the block may change scope
+        sp = tracer.open_span(name, attrs) if tracer.enabled else None
         t0 = time.perf_counter()
         try:
-            yield
+            yield sp
         finally:
-            self.observe(key, time.perf_counter() - t0, _qualified=True)
+            dur = time.perf_counter() - t0
+            if sp is not None:
+                tracer.close_span(sp, dur)
+            if series is not None:
+                series.observe(dur, None if sp is None else sp.span_id)
 
-    def observe(self, name: str, seconds: float, _qualified: bool = False) -> None:
-        """Record one already-measured duration into timer ``name``."""
-        if not self.enabled:
-            return
-        key = name if _qualified else self._qualify(name)
-        stat = self.timers.get(key)
-        if stat is None:
-            stat = self.timers[key] = TimerStat()
-        stat.add(seconds)
+    def _span_series_of(self, name: str):
+        series = self._span_series.get(name)
+        if series is None:
+            series = self._span_series[name] = self.families.histogram(
+                "span_seconds",
+                help="Wall-clock per library span, by span name.",
+                labels=("span",),
+                unit="seconds",
+            ).labels(span=name)
+        return series
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> float:
@@ -230,7 +182,7 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry | dict") -> "MetricsRegistry":
         """Fold another registry (or a ``to_dict`` snapshot) into this one.
 
-        Counters add; timers combine their aggregates.  Merging is
+        Counters add; families combine series-wise.  Merging is
         commutative and associative, so per-worker registries can be folded
         into a farm-level report in any order.  Returns ``self``.
         """
@@ -238,19 +190,14 @@ class MetricsRegistry:
             other = MetricsRegistry.from_dict(other)
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0.0) + value
-        for name, stat in other.timers.items():
-            mine = self.timers.get(name)
-            if mine is None:
-                mine = self.timers[name] = TimerStat()
-            mine.merge(stat)
         if other._families is not None and len(other._families):
             self.families.merge(other._families)
         return self
 
     def reset(self) -> None:
-        """Drop all recorded counters, timers and families (keeps enabled)."""
+        """Drop all recorded counters and families (keeps enabled)."""
         self.counters.clear()
-        self.timers.clear()
+        self._span_series.clear()
         if self._families is not None:
             self._families.reset()
 
@@ -258,13 +205,9 @@ class MetricsRegistry:
         """Snapshot as a plain-JSON-serialisable dict.
 
         The ``families`` key appears only when labeled families were
-        recorded, keeping label-free snapshots byte-identical to the
-        historical format.
+        recorded.
         """
-        snapshot = {
-            "counters": dict(sorted(self.counters.items())),
-            "timers": {k: v.to_dict() for k, v in sorted(self.timers.items())},
-        }
+        snapshot = {"counters": dict(sorted(self.counters.items()))}
         if self._families is not None and len(self._families):
             snapshot["families"] = self._families.to_dict()["families"]
         return snapshot
@@ -275,10 +218,13 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`to_dict` snapshot."""
+        """Rebuild a registry from a :meth:`to_dict` snapshot.
+
+        A legacy ``timers`` key (snapshots from before spans replaced
+        timers, e.g. old result-cache entries) is ignored.
+        """
         reg = cls()
         reg.counters.update({k: float(v) for k, v in d.get("counters", {}).items()})
-        reg.timers.update({k: TimerStat.from_dict(v) for k, v in d.get("timers", {}).items()})
         if d.get("families"):
             reg.families.merge({"families": d["families"]})
         return reg
@@ -286,7 +232,7 @@ class MetricsRegistry:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"MetricsRegistry(enabled={self.enabled}, "
-            f"{len(self.counters)} counters, {len(self.timers)} timers)"
+            f"{len(self.counters)} counters, {len(self._families or ())} families)"
         )
 
 

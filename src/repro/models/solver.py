@@ -108,20 +108,18 @@ class NNProjectionSolver(PressureSolver):
             return None
         if self._plan is not None and self._plan.input_shape == (2,) + shape:
             return self._plan
-        tracer = get_tracer()
         try:
-            with metrics.timer(f"solver/{self.name}/plan_build"):
-                with tracer.span("plan_build", solver=self.name):
-                    self._plan = InferencePlan(
-                        self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
-                    )
+            with metrics.span("plan_build", solver=self.name, precision=self.precision):
+                self._plan = InferencePlan(
+                    self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
+                )
         except PlanError:
             self._plan = None
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         metrics.inc(f"solver/{self.name}/plan_builds")
-        tracer.event(
+        get_tracer().event(
             "plan_build",
             solver=self.name,
             shape=list(shape),
@@ -139,7 +137,7 @@ class NNProjectionSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Approximate the Poisson solution with ``passes`` network inferences."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"):
+        with metrics.span(f"solve/{self.name}"):
             result = self._solve(b, solid, metrics)
         metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/inferences", result.iterations)

@@ -72,13 +72,10 @@ fall back to the legacy forward.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy.linalg.blas import dgemm
 
 from repro.metrics import get_metrics
-from repro.trace import get_tracer
 
 from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .conv import Conv2d
@@ -398,8 +395,7 @@ class InferencePlan:
         self.runs = 0
         self.workspace_reuses = 0
 
-        compile_started = time.perf_counter()
-        with get_tracer().span("nn/plan_compile", dtype=str(self.dtype)) as sp:
+        with get_metrics().span("nn/plan_compile", dtype=str(self.dtype)) as sp:
             self._grids: dict[tuple[int, int], _Grid] = {}
             self._images: list[_Image] = []
             c, h, w = input_shape
@@ -421,16 +417,6 @@ class InferencePlan:
             self._result = self._output.interior[None].transpose(0, 3, 1, 2)
             if sp is not None:
                 sp.attrs["arena_bytes"] = int(self._arena.nbytes)
-        get_metrics().families.histogram(
-            "nn_plan_compile_seconds",
-            help="InferencePlan compile (lower + arena allocation) time.",
-            labels=("dtype",),
-            unit="seconds",
-        ).observe(
-            time.perf_counter() - compile_started,
-            exemplar=sp.span_id if sp is not None else None,
-            dtype=self.dtype.name,
-        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -529,17 +515,8 @@ class InferencePlan:
         if x.shape != (1,) + self.input_shape:
             raise ValueError(f"expected (1,) + {self.input_shape} input, got {x.shape}")
         np.copyto(self._input.interior, x[0].transpose(1, 2, 0))  # casts here
-        gemm_started = time.perf_counter()
         for step in self._steps:
             step.run()
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.families.histogram(
-                "nn_gemm_seconds",
-                help="Fused-GEMM step-list execution time per plan forward.",
-                labels=("dtype",),
-                unit="seconds",
-            ).observe(time.perf_counter() - gemm_started, dtype=self.dtype.name)
         self.runs += 1
         self.workspace_reuses += 1  # every pass runs entirely in the arena
         return self._result

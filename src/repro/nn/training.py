@@ -107,7 +107,6 @@ class Trainer:
                 metrics.inc("train/batches")
             history.train_loss.append(epoch_total / max(epoch_count, 1))
             history.epoch_seconds.append(time.perf_counter() - t0)
-            metrics.observe("train/epoch", history.epoch_seconds[-1])
             metrics.inc("train/epochs")
             metrics.inc("train/samples", epoch_count)
             if scheduler is not None:

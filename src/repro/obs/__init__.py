@@ -1,7 +1,7 @@
 """Labeled metrics, Prometheus exposition, and SLO burn-rate monitoring.
 
 ``repro.obs`` is the observability layer above :mod:`repro.metrics` (flat
-counters/timers) and :mod:`repro.trace` (spans/events/histograms).  It adds
+counters, span timings) and :mod:`repro.trace` (spans/events).  It adds
 the three things a production service needs that neither of those provide:
 
 * **labels** — :mod:`repro.obs.families` holds Counter/Gauge/Histogram
@@ -16,9 +16,9 @@ the three things a production service needs that neither of those provide:
   with multi-window burn-rate alerting, surfaced by ``repro health`` and
   the ``repro top`` alerts panel.
 
-:mod:`repro.obs.prometheus` renders families (plus the flat
-:class:`~repro.metrics.MetricsRegistry` and tracer histograms) in the
-Prometheus text exposition format — served by the ``metrics`` wire op of
+:mod:`repro.obs.prometheus` renders families (plus the flat counters of a
+:class:`~repro.metrics.MetricsRegistry`) in the Prometheus text exposition
+format — served by the ``metrics`` wire op of
 :class:`repro.serve.ServiceServer` and an optional localhost HTTP scrape
 endpoint.
 """

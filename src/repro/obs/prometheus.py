@@ -1,4 +1,4 @@
-"""Prometheus text-format exposition for families, flat metrics and spans.
+"""Prometheus text-format exposition for families and flat counters.
 
 One render pass produces the standard ``text/plain; version=0.0.4`` page:
 
@@ -7,11 +7,11 @@ One render pass produces the standard ``text/plain; version=0.0.4`` page:
   cumulative ``_bucket{le=...}`` series derived from the shared
   :class:`repro.trace.HistogramStat` log-spaced buckets, plus ``_sum`` and
   ``_count``;
-* the flat :class:`repro.metrics.MetricsRegistry` renders too, so every
-  pre-existing ``sim/projection/pcg/solves`` counter is scrapeable without
+* the flat counters of a :class:`repro.metrics.MetricsRegistry` render
+  too, so every ``sim/solver/pcg/solves`` counter is scrapeable without
   re-instrumenting: slash-scoped names sanitize to
-  ``repro_sim_projection_pcg_solves_total`` and timers become
-  ``summary``-typed ``_seconds_sum``/``_seconds_count`` pairs;
+  ``repro_sim_solver_pcg_solves_total`` (span timings are the registry's
+  ``span_seconds`` family and render with the families);
 * with ``openmetrics=True`` the page is rendered in the OpenMetrics
   exposition instead (``# EOF`` trailer, counter ``TYPE`` headers on the
   un-suffixed name) and histogram series may carry an **exemplar** — the
@@ -133,8 +133,8 @@ def render_prometheus(
 ) -> str:
     """Render one Prometheus exposition page.
 
-    ``families`` render natively; ``registry`` (the flat counter/timer bag)
-    renders under sanitized names so legacy instrumentation is scrapeable
+    ``families`` render natively; ``registry``'s flat counters render
+    under sanitized names so legacy instrumentation is scrapeable
     unchanged.  Either may be ``None``.
 
     ``openmetrics=True`` renders the OpenMetrics exposition — counter
@@ -176,14 +176,6 @@ def render_prometheus(
                 sanitize_metric_name(raw_name), f"flat counter {raw_name}"
             )
             lines.append(f"{sample_name} {_fmt(registry.counters[raw_name])}")
-        for raw_name in sorted(registry.timers):
-            stat = registry.timers[raw_name]
-            name = sanitize_metric_name(raw_name)
-            if not name.endswith("_seconds"):
-                name += "_seconds"
-            _header(lines, name, "summary", f"flat timer {raw_name}")
-            lines.append(f"{name}_sum {_fmt(stat.total)}")
-            lines.append(f"{name}_count {stat.count}")
     if openmetrics:
         lines.append("# EOF")
     return "\n".join(lines) + "\n" if lines else ""

@@ -11,8 +11,7 @@ over a resizable :class:`repro.farm.pool.Pool` of simulation workers:
 * an :class:`~repro.serve.autoscaler.Autoscaler` grows and shrinks the
   worker fleet with queue depth; shrink always drains, never kills.
 * worker telemetry events are bridged from pool threads onto the event
-  loop and fanned out to **watch** subscribers; they also fold into a
-  live :class:`~repro.farm.telemetry.FleetView`.
+  loop and fanned out to **watch** subscribers.
 * **stop(drain=True)** finishes every admitted job before exiting;
   ``drain=False`` cancels cooperatively and resolves still-pending
   result futures with ``cancelled`` results.  Either way the cache
@@ -34,7 +33,6 @@ from pathlib import Path
 
 from repro.farm.jobs import JobResult, JobSpec
 from repro.farm.pool import Pool
-from repro.farm.telemetry import FleetView
 from repro.metrics import MetricsRegistry
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import OPENMETRICS_CONTENT_TYPE, render_prometheus
@@ -162,8 +160,6 @@ class SimulationService:
         self.max_workers = max_workers
         self.autoscale_seconds = autoscale_seconds
         self.heartbeat_seconds = heartbeat_seconds
-        #: live per-job telemetry folded from pool worker events
-        self.fleet = FleetView()
         self.pool: Pool | None = None
         self.autoscaler: Autoscaler | None = None
         self._jobs: dict[str, _Job] = {}
@@ -335,7 +331,6 @@ class SimulationService:
     # pool callbacks (worker threads) -> event loop
     # ------------------------------------------------------------------
     def _on_pool_event(self, event: dict) -> None:
-        self.fleet.observe(event)  # FleetView is thread-safe
         self._post(self._publish, event)
 
     def _on_pool_result(self, result: JobResult) -> None:
@@ -377,7 +372,6 @@ class SimulationService:
             "cached": result.cached,
             "t": time.time(),
         }
-        self.fleet.observe(terminal)
         for q in job.watchers:
             q.put_nowait(terminal)
             q.put_nowait(None)  # sentinel: stream is over
@@ -424,14 +418,12 @@ class SimulationService:
                 scenario=scenario, outcome="hit" if hit is not None else "miss"
             )
             if hit is not None:
-                self.fleet.bump("cache_hits")
                 # a hit costs no worker time (no pending slot) but is still
                 # a submission: bill the tenant's token bucket
                 try:
                     self.admission.charge(tenant)
                 except ServeError as exc:
                     self.metrics.inc("serve/rejected")
-                    self.fleet.bump("admission_rejects")
                     self._tenant_outcome(tenant, exc.code)
                     raise
                 # re-badge the stored result as *this* job's answer
@@ -445,7 +437,6 @@ class SimulationService:
             self.admission.admit(tenant)
         except ServeError as exc:
             self.metrics.inc("serve/rejected")
-            self.fleet.bump("admission_rejects")
             self._tenant_outcome(tenant, exc.code)
             raise
         job.admitted = True
@@ -539,7 +530,7 @@ class SimulationService:
         """The Prometheus exposition of every metric surface.
 
         Labeled families (including worker series merged home through the
-        pool) plus the flat counter/timer registry.  ``openmetrics=True``
+        pool) plus the flat counters.  ``openmetrics=True``
         renders the OpenMetrics exposition, which additionally carries
         exemplars linking slow histogram buckets to their trace spans —
         the classic ``0.0.4`` page must not (classic parsers reject them).

@@ -1,4 +1,4 @@
-"""Structured tracing: spans, histograms, step events, timeline export.
+"""Structured tracing: spans, step events, timeline export.
 
 This module is the *temporal* half of the observability stack.  Where
 :mod:`repro.metrics` answers "how much / how long in aggregate", tracing
@@ -13,12 +13,15 @@ spans
     Nested timed regions (``sim`` > ``step`` > ``projection`` >
     ``solve/pcg``) with ids, parent links and free-form attributes.  The
     :class:`Tracer` records them per thread without locks on the hot path;
-    export interleaves all threads on one wall-clock axis.
+    export interleaves all threads on one wall-clock axis.  Library code
+    opens its spans through :meth:`repro.metrics.MetricsRegistry.span`,
+    which times each region once for both the trace and the registry's
+    ``span_seconds`` family.
 histograms
     :class:`HistogramStat` — fixed log-bucket latency histograms, mergeable
-    like :class:`~repro.metrics.TimerStat`, giving p50/p95/p99 instead of
-    just min/mean/max.  Every completed span feeds the histogram of its
-    span name.
+    in any order, giving p50/p95/p99 instead of just min/mean/max.  They
+    back the labeled histogram families of :mod:`repro.obs.families`, and
+    :func:`summarize` folds a trace's spans into one per span name.
 step events
     A typed event stream (:class:`Event`): ``step``, ``divnorm``,
     ``model_switch``, ``pcg_fallback``, ``checkpoint``, ``plan_build`` and
@@ -194,9 +197,11 @@ class HistogramStat:
 
     Buckets grow geometrically (4 per doubling, ~19% wide), so quantile
     estimates carry a bounded relative error at any scale from nanoseconds
-    to minutes.  Like :class:`~repro.metrics.TimerStat` it is empty-safe and
-    merge is commutative and associative, so per-worker histograms fold
-    into a farm-level view in any order.
+    to minutes.  Empty stats are normal forms (``min = +inf``, ``max =
+    -inf``, both serialised as null), so ``to_dict``/``from_dict``
+    round-trip exactly and merge is commutative and associative even
+    through snapshots: per-worker histograms fold into a farm-level view
+    in any order.
     """
 
     count: int = 0
@@ -287,19 +292,18 @@ class HistogramStat:
 class _ThreadBuffer:
     """Per-thread recording state: no locks on the hot path."""
 
-    __slots__ = ("tid", "spans", "events", "histograms", "stack", "seq")
+    __slots__ = ("tid", "spans", "events", "stack", "seq")
 
     def __init__(self, tid: int):
         self.tid = tid
         self.spans: list[Span] = []
         self.events: list[Event] = []
-        self.histograms: dict[str, HistogramStat] = {}
         self.stack: list[Span] = []
         self.seq = 0
 
 
 class Tracer:
-    """Record spans, histograms and typed events; export timelines.
+    """Record spans and typed events; export timelines.
 
     A disabled tracer (``enabled=False``) turns every operation into a
     cheap no-op, so instrumentation stays unconditionally in hot paths —
@@ -319,7 +323,6 @@ class Tracer:
         # state folded in from merge()/from_dict(): other processes' spans
         self._merged_spans: list[Span] = []
         self._merged_events: list[Event] = []
-        self._merged_hists: dict[str, HistogramStat] = {}
 
     # ------------------------------------------------------------------
     def _buf(self) -> _ThreadBuffer:
@@ -342,29 +345,41 @@ class Tracer:
         if not self.enabled:
             yield None
             return
-        buf = self._buf()
-        buf.seq += 1
-        sp = Span(
-            name=name,
-            span_id=f"{os.getpid()}:{buf.tid}:{buf.seq}",
-            parent_id=buf.stack[-1].span_id if buf.stack else None,
-            t=time.time(),
-            attrs=attrs,
-            pid=os.getpid(),
-            tid=buf.tid,
-        )
-        buf.stack.append(sp)
+        sp = self.open_span(name, attrs)
         t0 = time.perf_counter()
         try:
             yield sp
         finally:
-            sp.dur = time.perf_counter() - t0
-            buf.stack.pop()
-            buf.spans.append(sp)
-            h = buf.histograms.get(name)
-            if h is None:
-                h = buf.histograms[name] = HistogramStat()
-            h.add(sp.dur)
+            self.close_span(sp, time.perf_counter() - t0)
+
+    def open_span(self, name: str, attrs: dict) -> Span:
+        """Start a span on this thread's stack; :meth:`close_span` ends it.
+
+        For callers that time the region themselves and hand the duration
+        over (:meth:`repro.metrics.MetricsRegistry.span`).  Only call it
+        on an enabled tracer.
+        """
+        buf = self._buf()
+        buf.seq += 1
+        pid = os.getpid()
+        sp = Span(
+            name=name,
+            span_id=f"{pid}:{buf.tid}:{buf.seq}",
+            parent_id=buf.stack[-1].span_id if buf.stack else None,
+            t=time.time(),
+            attrs=attrs,
+            pid=pid,
+            tid=buf.tid,
+        )
+        buf.stack.append(sp)
+        return sp
+
+    def close_span(self, sp: Span, dur: float) -> None:
+        """End a span of :meth:`open_span` (same thread) after ``dur`` seconds."""
+        sp.dur = dur
+        buf = self._buf()
+        buf.stack.pop()
+        buf.spans.append(sp)
 
     def event(self, type_: str, step: int | None = None, **attrs) -> Event | None:
         """Record one typed timeline event (no-op when disabled)."""
@@ -379,16 +394,6 @@ class Tracer:
         if not self.enabled:
             return
         self._buf().events.append(event)
-
-    def observe(self, name: str, value: float) -> None:
-        """Feed one observation into histogram ``name`` directly."""
-        if not self.enabled:
-            return
-        buf = self._buf()
-        h = buf.histograms.get(name)
-        if h is None:
-            h = buf.histograms[name] = HistogramStat()
-        h.add(value)
 
     # ------------------------------------------------------------------
     # snapshots
@@ -415,22 +420,6 @@ class Tracer:
         out.sort(key=lambda e: (e.step if e.step is not None else -1, e.t))
         return out
 
-    @property
-    def histograms(self) -> dict[str, HistogramStat]:
-        """Merged per-name histograms across all threads (a fresh copy)."""
-        with self._lock:
-            bufs = list(self._buffers)
-        out: dict[str, HistogramStat] = {
-            k: HistogramStat.from_dict(v.to_dict()) for k, v in self._merged_hists.items()
-        }
-        for buf in bufs:
-            for name, h in buf.histograms.items():
-                mine = out.get(name)
-                if mine is None:
-                    mine = out[name] = HistogramStat()
-                mine.merge(h)
-        return out
-
     def reset(self) -> None:
         """Drop everything recorded so far (keeps enabled state)."""
         with self._lock:
@@ -438,7 +427,6 @@ class Tracer:
             self._tls = threading.local()
             self._merged_spans = []
             self._merged_events = []
-            self._merged_hists = {}
 
     # ------------------------------------------------------------------
     # (de)serialisation
@@ -449,18 +437,18 @@ class Tracer:
             "schema": "repro-trace/v1",
             "spans": [s.to_dict() for s in self.spans()],
             "events": [e.to_dict() for e in self.events()],
-            "histograms": {k: v.to_dict() for k, v in sorted(self.histograms.items())},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tracer":
-        """Rebuild a tracer from a :meth:`to_dict` snapshot."""
+        """Rebuild a tracer from a :meth:`to_dict` snapshot.
+
+        The ``histograms`` section of older snapshots is ignored: per-name
+        latency summaries are folded from the spans (:func:`summarize`).
+        """
         tr = cls(enabled=True)
         tr._merged_spans = [Span.from_dict(s) for s in d.get("spans", [])]
         tr._merged_events = [Event.from_dict(e) for e in d.get("events", [])]
-        tr._merged_hists = {
-            k: HistogramStat.from_dict(v) for k, v in d.get("histograms", {}).items()
-        }
         return tr
 
     def merge(self, other: "Tracer | dict") -> "Tracer":
@@ -476,11 +464,6 @@ class Tracer:
         with self._lock:
             self._merged_spans.extend(other.spans())
             self._merged_events.extend(other.events())
-            for name, h in other.histograms.items():
-                mine = self._merged_hists.get(name)
-                if mine is None:
-                    mine = self._merged_hists[name] = HistogramStat()
-                mine.merge(h)
         return self
 
     # ------------------------------------------------------------------
@@ -495,10 +478,6 @@ class Tracer:
                 f.write(json.dumps({"kind": "span", **sp.to_dict()}) + "\n")
             for ev in self.events():
                 f.write(json.dumps({"kind": "event", **ev.to_dict()}) + "\n")
-            for name, h in sorted(self.histograms.items()):
-                f.write(
-                    json.dumps({"kind": "histogram", "name": name, **h.to_dict()}) + "\n"
-                )
         return path
 
     def to_chrome(self) -> dict:
@@ -566,8 +545,8 @@ def read_trace(path: str | Path) -> Tracer:
     """Load a trace written by :meth:`Tracer.write_chrome` or ``write_jsonl``.
 
     Plain Chrome traces without the embedded ``"repro"`` snapshot are also
-    accepted: spans and events are reconstructed from ``traceEvents`` and
-    histograms are rebuilt from span durations.
+    accepted: spans and events are reconstructed from ``traceEvents``.
+    The ``histogram`` records of older JSONL files are skipped.
     """
     path = Path(path)
     text = path.read_text()
@@ -591,8 +570,6 @@ def read_trace(path: str | Path) -> Tracer:
             tr._merged_spans.append(Span.from_dict(rec))
         elif kind == "event":
             tr._merged_events.append(Event.from_dict(rec))
-        elif kind == "histogram":
-            tr._merged_hists[rec.pop("name")] = HistogramStat.from_dict(rec)
     return tr
 
 
@@ -602,18 +579,17 @@ def _from_chrome_events(trace_events: list[dict]) -> Tracer:
     for te in trace_events:
         if te.get("ph") == "X":
             seq += 1
-            sp = Span(
-                name=te.get("name", "?"),
-                span_id=str(seq),
-                t=float(te.get("ts", 0.0)) / 1e6,
-                dur=float(te.get("dur", 0.0)) / 1e6,
-                attrs=dict(te.get("args", {})),
-                pid=int(te.get("pid", 0)),
-                tid=int(te.get("tid", 0)),
+            tr._merged_spans.append(
+                Span(
+                    name=te.get("name", "?"),
+                    span_id=str(seq),
+                    t=float(te.get("ts", 0.0)) / 1e6,
+                    dur=float(te.get("dur", 0.0)) / 1e6,
+                    attrs=dict(te.get("args", {})),
+                    pid=int(te.get("pid", 0)),
+                    tid=int(te.get("tid", 0)),
+                )
             )
-            tr._merged_spans.append(sp)
-            h = tr._merged_hists.setdefault(sp.name, HistogramStat())
-            h.add(sp.dur)
         elif te.get("ph") == "i":
             args = dict(te.get("args", {}))
             step = args.pop("step", None)
@@ -636,9 +612,18 @@ def _from_chrome_events(trace_events: list[dict]) -> Tracer:
 
 
 def summarize(tracer: Tracer) -> dict[str, dict]:
-    """Per-span-name latency summary (count/total/mean/p50/p95/p99)."""
+    """Per-span-name latency summary (count/total/mean/p50/p95/p99).
+
+    Folds the trace's spans into one :class:`HistogramStat` per name.
+    """
+    hists: dict[str, HistogramStat] = {}
+    for sp in tracer.spans():
+        h = hists.get(sp.name)
+        if h is None:
+            h = hists[sp.name] = HistogramStat()
+        h.add(sp.dur)
     out: dict[str, dict] = {}
-    for name, h in sorted(tracer.histograms.items()):
+    for name, h in sorted(hists.items()):
         out[name] = {
             "count": h.count,
             "total": h.total,

@@ -167,3 +167,25 @@ class TestJobResult:
 
     def test_failed_result_not_ok(self):
         assert not JobResult(job_id="j", status="failed", error="boom").ok
+
+    def test_legacy_timers_snapshot_loads_and_merges(self):
+        """A result cached before spans replaced timers still loads: its
+        metrics snapshot's ``timers`` key is ignored when merged."""
+        from repro.metrics import MetricsRegistry
+
+        legacy = JobResult(
+            job_id="old",
+            status="completed",
+            steps_done=12,
+            metrics={
+                "counters": {"sim/steps": 12.0},
+                "timers": {"sim/step": {"count": 12, "total": 0.5, "min": 0.01,
+                                        "max": 0.1, "mean": 0.04}},
+            },
+        ).to_dict()
+        restored = JobResult.from_dict(json.loads(json.dumps(legacy)))
+        assert restored.ok and restored.metrics["timers"]["sim/step"]["count"] == 12
+        farm = MetricsRegistry()
+        farm.inc("sim/steps", 4)
+        farm.merge(restored.metrics)
+        assert farm.to_dict() == {"counters": {"sim/steps": 16.0}}

@@ -411,6 +411,29 @@ class TestResizablePool:
         with pytest.raises(RuntimeError, match="shut down"):
             pool.submit(JobSpec(job_id="b", grid_size=12, steps=2))
 
+    def test_raising_on_result_keeps_its_worker(self):
+        """Regression: an ``on_result`` that raised killed the worker thread
+        that delivered the result while ``alive`` still counted it, so a
+        one-worker pool never ran its next job and ``drain`` timed out."""
+        from repro.farm.pool import Pool
+
+        delivered = []
+
+        def on_result(r):
+            delivered.append(r.job_id)
+            if r.job_id == "a":
+                raise RuntimeError("callback bug")
+
+        pool = Pool(workers=1, on_result=on_result)
+        pool.submit(JobSpec(job_id="a", grid_size=12, steps=1, seed=0))
+        pool.submit(JobSpec(job_id="b", grid_size=12, steps=1, seed=1))
+        assert pool.drain(timeout=60)
+        assert pool.alive == 1
+        assert pool.shutdown(timeout=30)
+        assert delivered == ["a", "b"]
+        assert pool.metrics.counter("farm/pool/on_result_errors") == 1
+        assert pool.metrics.counter("farm/jobs_completed") == 2
+
     def test_pool_startup_sweeps_orphaned_checkpoints(self, tmp_path):
         (tmp_path / "dead.smoke_plume.0badf00d.ckpt.npz.tmp").write_bytes(b"torn")
         pool = self._pool([], workers=1, checkpoint_dir=tmp_path)

@@ -94,12 +94,13 @@ class TestRendering:
 
     def test_counters_render_in_the_header(self):
         fleet = FleetView()
-        fleet.bump("admission_rejects")
-        fleet.bump("cache_hits", 3)
+        fleet.observe({"type": "pcg_fallback", "job_id": "a"})
+        for step in (4, 8, 12):
+            fleet.observe({"type": "resume", "job_id": "b", "step": step})
         text = render_fleet(fleet, now=0.0)
         header = text.splitlines()[0]
-        assert "admission_rejects:1" in header
-        assert "cache_hits:3" in header
+        assert "pcg_fallbacks:1" in header
+        assert "resumes:3" in header
         # no counters -> no separator noise
         assert "|" not in render_fleet(FleetView(), now=0.0).splitlines()[0]
 
@@ -120,7 +121,7 @@ class TestRendering:
 
     def test_narrow_terminal_truncates_instead_of_crashing(self):
         fleet = FleetView()
-        fleet.bump("cache_hits", 99)
+        fleet.observe({"type": "resume", "job_id": "job-with-a-long-name", "step": 2})
         fleet.observe({"type": "heartbeat", "job_id": "job-with-a-long-name",
                        "step": 3, "steps_total": 4, "divnorm": 0.5, "solver": "nn"})
         for width in (8, 20, 40):

@@ -90,13 +90,15 @@ class TestRenderFlatRegistry:
     def test_flat_counters_and_timers(self):
         reg = MetricsRegistry()
         reg.inc("sim/steps", 5)
-        with reg.timer("pcg/solve"):
+        with reg.span("solve/pcg"):
             pass
-        text = render_prometheus(None, reg)
+        text = render_prometheus(reg.families, reg)
         assert "# TYPE repro_sim_steps_total counter" in text
         assert "repro_sim_steps_total 5" in text
-        assert "# TYPE repro_pcg_solve_seconds summary" in text
-        assert "repro_pcg_solve_seconds_count 1" in text
+        assert "# TYPE repro_span_seconds histogram" in text
+        assert 'repro_span_seconds_count{span="solve/pcg"} 1' in text
+        # spans render once, as the family: no flat duration summary
+        assert "summary" not in text
 
     def test_empty_render_is_empty_string(self):
         assert render_prometheus(None, None) == ""

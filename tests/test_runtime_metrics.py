@@ -1,21 +1,26 @@
 """Tests for the repro.metrics runtime-observability module."""
 
 import json
+import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.metrics import (
     NULL_METRICS,
     MetricsRegistry,
-    TimerStat,
     get_metrics,
     reset_metrics,
     set_metrics,
 )
+from repro.trace import Tracer, set_tracer
+
+
+def _span_stat(m: MetricsRegistry, name: str):
+    """The ``span_seconds`` series of span ``name`` (None if never timed)."""
+    family = m.families.get("span_seconds")
+    return None if family is None else family.stat(span=name)
 
 
 class TestCountersAndTimers:
@@ -31,30 +36,25 @@ class TestCountersAndTimers:
     def test_timer_records_statistics(self):
         m = MetricsRegistry()
         for _ in range(3):
-            with m.timer("work"):
+            with m.span("work"):
                 pass
-        stat = m.timers["work"]
+        stat = _span_stat(m, "work")
         assert stat.count == 3
         assert stat.total >= stat.max >= stat.min >= 0.0
         assert stat.mean == pytest.approx(stat.total / 3)
 
-    def test_observe_records_explicit_durations(self):
-        m = MetricsRegistry()
-        m.observe("solve", 0.25)
-        m.observe("solve", 0.75)
-        stat = m.timers["solve"]
-        assert stat.count == 2
-        assert stat.total == 1.0
-        assert stat.min == 0.25
-        assert stat.max == 0.75
-
     def test_reset_clears_everything(self):
         m = MetricsRegistry()
         m.inc("a")
-        m.observe("t", 1.0)
+        with m.span("t"):
+            pass
         m.reset()
         assert m.counters == {}
-        assert m.timers == {}
+        assert len(m.families) == 0
+        # the span series is declared afresh after a reset, not lost
+        with m.span("t"):
+            pass
+        assert _span_stat(m, "t").count == 1
 
 
 class TestScopes:
@@ -63,11 +63,18 @@ class TestScopes:
         with m.scope("sim"):
             m.inc("steps")
             with m.scope("projection"):
-                m.observe("solve", 0.1)
+                m.inc("solves")
         m.inc("steps")
         assert m.counter("sim/steps") == 1.0
         assert m.counter("steps") == 1.0
-        assert "sim/projection/solve" in m.timers
+        assert m.counter("sim/projection/solves") == 1.0
+
+    def test_span_names_are_not_scoped(self):
+        m = MetricsRegistry()
+        with m.scope("sim"), m.span("step"):
+            pass
+        assert _span_stat(m, "step").count == 1
+        assert _span_stat(m, "sim/step") is None
 
     def test_scope_restored_after_exception(self):
         m = MetricsRegistry()
@@ -118,8 +125,9 @@ class TestJSONRoundTrip:
     def test_round_trip_preserves_snapshot(self):
         m = MetricsRegistry()
         m.inc("solver/pcg/solves", 4)
-        m.observe("solver/pcg/solve", 0.125)
-        m.observe("solver/pcg/solve", 0.5)
+        for _ in range(2):
+            with m.span("solve/pcg"):
+                pass
         with m.scope("sim"):
             m.inc("steps", 7)
         snapshot = m.to_dict()
@@ -130,47 +138,50 @@ class TestJSONRoundTrip:
         m = MetricsRegistry()
         assert MetricsRegistry.from_dict(json.loads(m.to_json())).to_dict() == m.to_dict()
 
-    def test_timer_stat_round_trip_empty_min(self):
-        stat = TimerStat()
-        assert TimerStat.from_dict(stat.to_dict()).to_dict() == stat.to_dict()
+
+def _timed(m: MetricsRegistry, name: str, *seconds: float) -> MetricsRegistry:
+    """Fold exact durations into ``m``'s span series, as ``span`` would."""
+    family = m.families.histogram("span_seconds", labels=("span",))
+    for s in seconds:
+        family.observe(s, span=name)
+    return m
 
 
 class TestMerge:
     def test_counters_add_and_timers_combine(self):
         a = MetricsRegistry()
         a.inc("jobs", 2)
-        a.observe("solve", 0.5)
-        a.observe("solve", 1.5)
+        _timed(a, "solve", 0.5, 1.5)
         b = MetricsRegistry()
         b.inc("jobs", 3)
         b.inc("retries")
-        b.observe("solve", 0.25)
-        b.observe("other", 1.0)
+        _timed(b, "solve", 0.25)
+        _timed(b, "other", 1.0)
         a.merge(b)
         assert a.counter("jobs") == 5
         assert a.counter("retries") == 1
-        stat = a.timers["solve"]
+        stat = _span_stat(a, "solve")
         assert stat.count == 3
         assert stat.total == 2.25
         assert stat.min == 0.25
         assert stat.max == 1.5
-        assert a.timers["other"].count == 1
+        assert _span_stat(a, "other").count == 1
 
     def test_merge_accepts_snapshot_dict(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
         b.inc("steps", 4)
-        b.observe("t", 0.125)
+        _timed(b, "t", 0.125)
         a.merge(b.to_dict())
         assert a.counter("steps") == 4
-        assert a.timers["t"].count == 1
+        assert _span_stat(a, "t").count == 1
 
     def test_merge_is_commutative(self):
         def build(vals):
             m = MetricsRegistry()
             for v in vals:
                 m.inc("n")
-                m.observe("t", v)
+                _timed(m, "t", v)
             return m
 
         ab = build([0.1, 0.2]).merge(build([0.3]))
@@ -179,63 +190,33 @@ class TestMerge:
 
     def test_merge_with_empty_timer_keeps_min_empty_semantics(self):
         a = MetricsRegistry()
-        a.timers["t"] = TimerStat()
-        b = MetricsRegistry()
-        b.observe("t", 0.5)
+        empty = _timed(MetricsRegistry(), "t", 0.5).to_dict()
+        empty["families"]["span_seconds"]["series"][0]["value"]["hist"] = {"count": 0}
+        a.merge(empty)  # a restored empty series: count 0, no bounds
+        b = _timed(MetricsRegistry(), "t", 0.5)
         a.merge(b)
-        assert a.timers["t"].min == 0.5
-        assert a.timers["t"].max == 0.5
-        assert a.timers["t"].count == 1
+        stat = _span_stat(a, "t")
+        assert stat.min == 0.5
+        assert stat.max == 0.5
+        assert stat.count == 1
 
-
-_durations = st.lists(
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=8
-)
-
-
-def _stat(values) -> TimerStat:
-    stat = TimerStat()
-    for v in values:
-        stat.add(v)
-    return stat
-
-
-class TestTimerStatProperties:
-    """Empty stats are normal forms: round-trip and merge stay exact.
-
-    Regression (PR5): an empty ``TimerStat`` used to serialise ``max=0.0``,
-    so a restored empty stat was *not* a merge identity — merging it into
-    real data could pull ``max`` down to 0.  Both bounds now serialise as
-    null and ``from_dict`` normalises any ``count=0`` snapshot.
-    """
-
-    @given(_durations)
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_is_exact_including_empty(self, values):
-        stat = _stat(values)
-        restored = TimerStat.from_dict(json.loads(json.dumps(stat.to_dict())))
-        assert restored == stat
-        assert restored.to_dict() == stat.to_dict()
-
-    @given(_durations, _durations)
-    @settings(max_examples=50, deadline=None)
-    def test_merge_commutes_even_through_snapshots(self, xs, ys):
-        direct, swapped = _stat(xs), _stat(ys)
-        direct.merge(_stat(ys))
-        swapped.merge(_stat(xs))
-        assert direct.to_dict() == swapped.to_dict()
-        # merging a *restored* stat behaves exactly like merging the original
-        via_snapshot = _stat(xs)
-        via_snapshot.merge(TimerStat.from_dict(_stat(ys).to_dict()))
-        assert via_snapshot.to_dict() == direct.to_dict()
-
-    @given(_durations)
-    @settings(max_examples=50, deadline=None)
-    def test_restored_empty_stat_is_a_merge_identity(self, values):
-        stat = _stat(values)
-        before = stat.to_dict()
-        stat.merge(TimerStat.from_dict(TimerStat().to_dict()))
-        assert stat.to_dict() == before
+    def test_legacy_timers_snapshot_loads_and_merges(self):
+        """Snapshots from before spans replaced timers (old result-cache
+        entries) carry a ``timers`` key: it is ignored, the rest loads."""
+        legacy = {
+            "counters": {"sim/steps": 12.0},
+            "timers": {
+                "sim/step": {"count": 12, "total": 0.5, "min": 0.01, "max": 0.1, "mean": 0.04},
+                "sim/projection/solve": {"count": 0, "total": 0.0, "min": None, "max": None, "mean": 0.0},
+            },
+        }
+        restored = MetricsRegistry.from_dict(json.loads(json.dumps(legacy)))
+        assert restored.to_dict() == {"counters": {"sim/steps": 12.0}}
+        current = _timed(MetricsRegistry(), "step", 0.25)
+        current.inc("sim/steps", 3)
+        current.merge(legacy)
+        assert current.counter("sim/steps") == 15
+        assert _span_stat(current, "step").count == 1
 
 
 class TestForkedDefaultRegistry:
@@ -269,13 +250,14 @@ class TestForkedDefaultRegistry:
 
 class TestDisabledAndGlobal:
     def test_null_metrics_is_noop(self):
-        before = (dict(NULL_METRICS.counters), dict(NULL_METRICS.timers))
+        before = dict(NULL_METRICS.counters)
         NULL_METRICS.inc("x")
-        with NULL_METRICS.timer("t"):
-            pass
+        with NULL_METRICS.span("t") as sp:
+            assert sp is None  # tracing is off too
         with NULL_METRICS.scope("s"):
             NULL_METRICS.inc("y")
-        assert (NULL_METRICS.counters, NULL_METRICS.timers) == before == ({}, {})
+        assert NULL_METRICS.counters == before == {}
+        assert NULL_METRICS.to_dict() == {"counters": {}}
 
     def test_set_metrics_swaps_default(self):
         mine = MetricsRegistry()
@@ -309,8 +291,7 @@ class TestInstrumentedComponents:
         )
         sim.run(2)
         assert metrics.counter("sim/steps") == 2
-        assert metrics.counter("sim/projection/solves") == 2
-        assert metrics.timers["sim/step"].count == 2
+        assert _span_stat(metrics, "step").count == 2
         # solver reporting lands under the sim scope (shared registry)
         assert metrics.counter("sim/solver/pcg/solves") == 2
         assert metrics.counter("sim/cache/mic0/miss") == 1
@@ -328,4 +309,61 @@ class TestInstrumentedComponents:
         assert len(history.epoch_seconds) == 3
         assert all(s >= 0 for s in history.epoch_seconds)
         assert metrics.counter("train/epochs") == 3
-        assert metrics.timers["train/epoch"].count == 3
+
+
+class TestOneMeasurementPerRegion:
+    """Each library region is timed once, for the trace and the registry."""
+
+    @staticmethod
+    def _run(metrics, tracer):
+        from repro.data import InputProblem
+        from repro.fluid import FluidSimulator, PCGSolver
+
+        previous_metrics, previous_tracer = set_metrics(metrics), set_tracer(tracer)
+        try:
+            grid, source = InputProblem(32, 0).materialize()
+            FluidSimulator(grid, PCGSolver(), source).run(4)
+        finally:
+            set_metrics(previous_metrics)
+            set_tracer(previous_tracer)
+
+    @staticmethod
+    def _series(m):
+        family = m.families.get("span_seconds")
+        if family is None:
+            return {}
+        return {labels["span"]: cell for labels, cell in family.samples()}
+
+    def test_traced_series_equal_the_spans_they_timed(self):
+        m, tracer = MetricsRegistry(), Tracer()
+        self._run(m, tracer)
+        spans = tracer.spans()
+        names = {s.name for s in spans}
+        assert {"sim", "step", "advection", "forces", "projection", "solve/pcg"} <= names
+        series = self._series(m)
+        assert set(series) == names
+        for name in names:
+            mine = [s for s in spans if s.name == name]
+            stat, exemplar = series[name]
+            assert stat.count == len(mine), name
+            assert math.isclose(stat.total, sum(s.dur for s in mine), rel_tol=1e-12), name
+            # the exemplar is the slowest span of that name
+            assert exemplar["span_id"] == max(mine, key=lambda s: s.dur).span_id, name
+
+    def test_untraced_registry_times_the_same_regions(self):
+        traced = MetricsRegistry()
+        self._run(traced, Tracer())
+        untraced, off = MetricsRegistry(), Tracer(enabled=False)
+        self._run(untraced, off)
+        assert off.spans() == []
+        counts = {name: cell[0].count for name, cell in self._series(untraced).items()}
+        assert counts == {name: cell[0].count for name, cell in self._series(traced).items()}
+        assert counts["step"] == counts["solve/pcg"] == 4
+        assert all(cell[1] is None for cell in self._series(untraced).values())
+
+    def test_null_metrics_untraced_records_nothing(self):
+        off = Tracer(enabled=False)
+        self._run(NULL_METRICS, off)
+        assert off.spans() == [] and off.events() == []
+        assert len(NULL_METRICS.families) == 0
+        assert NULL_METRICS.to_dict() == {"counters": {}}

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import (
     EVENT_TYPES,
@@ -69,15 +71,14 @@ class TestSpans:
         for _ in range(3):
             with tr.span("step"):
                 pass
-        assert tr.histograms["step"].count == 3
+        assert summarize(tr)["step"]["count"] == 3
 
     def test_disabled_tracer_yields_none_and_records_nothing(self):
         tr = Tracer(enabled=False)
         with tr.span("x") as sp:
             assert sp is None
         tr.event("step", step=1)
-        tr.observe("h", 1.0)
-        assert tr.spans() == [] and tr.events() == [] and tr.histograms == {}
+        assert tr.spans() == [] and tr.events() == [] and summarize(tr) == {}
 
     def test_concurrent_threads_do_not_interleave_stacks(self):
         tr = Tracer()
@@ -195,6 +196,55 @@ class TestHistogramStat:
         assert HistogramStat.from_dict(HistogramStat().to_dict()).to_dict() == HistogramStat().to_dict()
 
 
+_durations = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=8
+)
+
+
+def _stat(values) -> HistogramStat:
+    stat = HistogramStat()
+    for v in values:
+        stat.add(v)
+    return stat
+
+
+class TestHistogramStatProperties:
+    """Empty stats are normal forms: round-trip and merge stay exact.
+
+    An empty stat serialises both bounds as null and ``from_dict``
+    normalises any ``count=0`` snapshot, so a restored empty stat is a
+    merge identity and never pulls ``max`` down to 0.
+    """
+
+    @given(_durations)
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_is_exact_including_empty(self, values):
+        stat = _stat(values)
+        restored = HistogramStat.from_dict(json.loads(json.dumps(stat.to_dict())))
+        assert restored == stat
+        assert restored.to_dict() == stat.to_dict()
+
+    @given(_durations, _durations)
+    @settings(max_examples=50, deadline=None)
+    def test_merge_commutes_even_through_snapshots(self, xs, ys):
+        direct, swapped = _stat(xs), _stat(ys)
+        direct.merge(_stat(ys))
+        swapped.merge(_stat(xs))
+        assert direct.to_dict() == swapped.to_dict()
+        # merging a *restored* stat behaves exactly like merging the original
+        via_snapshot = _stat(xs)
+        via_snapshot.merge(HistogramStat.from_dict(_stat(ys).to_dict()))
+        assert via_snapshot.to_dict() == direct.to_dict()
+
+    @given(_durations)
+    @settings(max_examples=50, deadline=None)
+    def test_restored_empty_stat_is_a_merge_identity(self, values):
+        stat = _stat(values)
+        before = stat.to_dict()
+        stat.merge(HistogramStat.from_dict(HistogramStat().to_dict()))
+        assert stat.to_dict() == before
+
+
 # ----------------------------------------------------------------------
 # serialisation / export
 # ----------------------------------------------------------------------
@@ -224,7 +274,7 @@ class TestSerialisation:
         a, b = _sample_tracer(), _sample_tracer()
         merged = Tracer().merge(a.to_dict()).merge(b.to_dict())
         assert len(merged.spans()) == len(a.spans()) + len(b.spans())
-        assert merged.histograms["step"].count == 4
+        assert summarize(merged)["step"]["count"] == 4
         assert Tracer().merge({}).to_dict()["spans"] == []
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -264,7 +314,55 @@ class TestSerialisation:
         restored = read_trace(path)
         assert len(restored.spans()) == len(tr.spans())
         assert len(restored.events("divnorm")) == 2
-        assert restored.histograms["projection"].count == 2
+        assert summarize(restored)["projection"]["count"] == 2
+
+
+def _assert_summary_folds_spans(tracer: Tracer) -> None:
+    """``summarize`` equals a per-name fold of the trace's spans."""
+    folded: dict[str, HistogramStat] = {}
+    for sp in tracer.spans():
+        folded.setdefault(sp.name, HistogramStat()).add(sp.dur)
+    summary = summarize(tracer)
+    assert set(summary) == set(folded)
+    for name, h in folded.items():
+        row = summary[name]
+        assert (row["count"], row["total"], row["min"], row["max"]) == (h.count, h.total, h.min, h.max)
+        assert [row[q] for q in ("p50", "p95", "p99")] == [h.quantile(q) for q in (0.5, 0.95, 0.99)]
+
+
+#: a per-name histogram section as traces carried it before summaries
+#: were folded from spans: it disagrees with the spans on purpose, and
+#: holds a name no span has
+_LEGACY_HISTOGRAMS = {
+    "step": {"count": 99, "total": 9.0, "min": 0.01, "max": 1.0, "buckets": {"60": 99}},
+    "solve/nn_pcg/iterations": {"count": 1, "total": 8.0, "min": 8.0, "max": 8.0, "buckets": {"122": 1}},
+}
+
+
+class TestLegacyTraces:
+    """Traces written while the tracer kept per-name histograms still load."""
+
+    def test_chrome_trace_with_a_histograms_section(self, tmp_path):
+        tr = _sample_tracer()
+        doc = tr.to_chrome()
+        doc["repro"]["histograms"] = _LEGACY_HISTOGRAMS
+        path = tmp_path / "legacy.trace.json"
+        path.write_text(json.dumps(doc))
+        restored = read_trace(path)
+        assert restored.to_dict() == tr.to_dict()
+        assert summarize(restored)["step"]["count"] == 2
+        _assert_summary_folds_spans(restored)
+
+    def test_jsonl_trace_with_histogram_lines(self, tmp_path):
+        tr = _sample_tracer()
+        path = tr.write_jsonl(tmp_path / "legacy.jsonl")
+        with open(path, "a") as f:
+            for name, h in _LEGACY_HISTOGRAMS.items():
+                f.write(json.dumps({"kind": "histogram", "name": name, **h}) + "\n")
+        restored = read_trace(path)
+        assert restored.to_dict() == tr.to_dict()
+        assert "solve/nn_pcg/iterations" not in summarize(restored)
+        _assert_summary_folds_spans(restored)
 
 
 # ----------------------------------------------------------------------

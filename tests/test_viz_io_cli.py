@@ -157,7 +157,9 @@ class TestCLI:
         assert len(payload["steps"]) == 2
         assert payload["steps"][0]["converged"]
         assert payload["metrics"]["counters"]["sim/steps"] == 2
-        assert "sim/step" in payload["metrics"]["timers"]
+        series = payload["metrics"]["families"]["span_seconds"]["series"]
+        counts = {entry["labels"][0]: entry["value"]["hist"]["count"] for entry in series}
+        assert counts["step"] == counts["solve/pcg"] == 2
 
     def test_simulate_warm_start_and_jacobi_backend(self, capsys):
         assert main(
