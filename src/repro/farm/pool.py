@@ -289,16 +289,25 @@ class SimulationFarm:
 
     # ------------------------------------------------------------------
     def _run_serial(self, jobs: list[JobSpec], ckpt_dir: str) -> list[JobResult]:
-        results = [
-            run_job(
-                spec,
-                ckpt_dir,
-                metrics=MetricsRegistry(),
-                on_event=self._dispatch_event,
-                heartbeat_seconds=self.heartbeat_seconds,
-            )
-            for spec in jobs
-        ]
+        results = []
+        for spec in jobs:
+            # the job's registry is the process default while it runs, as in
+            # a pool child, so spans opened without one (kernel builds, plan
+            # compiles) land in the job's profile, not the caller's
+            m = MetricsRegistry()
+            previous = set_metrics(m)
+            try:
+                results.append(
+                    run_job(
+                        spec,
+                        ckpt_dir,
+                        metrics=m,
+                        on_event=self._dispatch_event,
+                        heartbeat_seconds=self.heartbeat_seconds,
+                    )
+                )
+            finally:
+                set_metrics(previous)
         for r in results:
             self.metrics.merge(r.metrics)
         self.metrics.inc("farm/jobs", len(results))

@@ -1,9 +1,10 @@
 """Eulerian fluid-simulation substrate (mantaflow equivalent).
 
-A pure NumPy/SciPy 2-D MAC-grid smoke simulator implementing the paper's
+A NumPy/SciPy 2-D MAC-grid smoke simulator implementing the paper's
 Algorithm 1: semi-Lagrangian advection, buoyancy, and pressure projection via
 PCG with the MIC(0) preconditioner (plus Jacobi and geometric multigrid
-alternatives).
+alternatives).  The MIC(0) sweeps run in a small C kernel (``mic0.c``),
+compiled on first use, with a bitwise-equal SciPy fallback.
 """
 
 from .grid import CellType, MACGrid2D

@@ -16,16 +16,24 @@ depends only on the geometry:
   ``apply_laplacian`` (same per-row accumulation order: down, up, right,
   left, diagonal);
 * lazily, the MIC(0) factor as sparse unit-diagonal triangular matrices
-  (:class:`MICTriangularFactor`) whose solves run inside SuperLU — one C
-  call per sweep instead of one Python call per anti-diagonal.
+  (:class:`MICTriangularFactor`) whose two sweeps run in one call of a
+  small C kernel (``mic0.c``) instead of one Python call per anti-diagonal.
 
 Bit-for-bit equivalence with the grid-level loop is a design requirement,
 not an accident: CSR matvec accumulates each row's products in storage order
-starting from 0.0, and SuperLU's triangular solves subtract each row's
+starting from 0.0, and the triangular sweeps subtract each row's
 contributions sequentially in ascending column order — both exactly mirror
 the grid-level recurrences, so :class:`~repro.fluid.PCGSolver` produces the
 same iterates, residual history and pressure as that loop, which the test
 suite keeps as its oracle.
+
+The C kernel is compiled on the first MIC(0) apply of a process (never at
+import) with ``cc -O2 -ffp-contract=off -fPIC -shared`` into
+``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), under a name keyed
+by the SHA-256 of its source and flags, so a machine compiles it once and
+later processes only load it.  Without a working ``cc`` it logs one warning
+and the sweeps run in SciPy's SuperLU triangular solves, which subtract in
+the same order and return the same bits.
 
 :func:`spectral_eligible` classifies masks that are a pure closed box (border
 wall, no interior solids), the geometry class the DCT-based
@@ -33,6 +41,15 @@ wall, no interior solids), the geometry class the DCT-based
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +65,82 @@ except ImportError:  # pragma: no cover
     _superlu = None
 
 __all__ = ["GeometryKernels", "MICTriangularFactor", "spectral_eligible"]
+
+_log = logging.getLogger(__name__)
+
+MIC0_SOURCE = Path(__file__).with_name("mic0.c")
+#: no contraction into fused multiply-adds: every product rounds before its
+#: subtraction, as in SuperLU, which keeps the sweep bitwise equal to it
+MIC0_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: the loaded ``mic0_apply``; None before the first MIC(0) apply of the
+#: process, False once loading failed (the SuperLU path then runs)
+_mic0 = None
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base) / "repro"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    return path
+
+
+def _compile_mic0(lib: Path) -> None:
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler (cc) on PATH")
+    # a private temp file renamed into place: a concurrent process loads
+    # either no file or a whole one
+    fd, tmp = tempfile.mkstemp(prefix=f".{lib.name}.", dir=lib.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *MIC0_CFLAGS, "-o", tmp, str(MIC0_SOURCE)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        if proc.returncode:
+            raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_mic0():
+    """Load ``mic0_apply``, compiling ``mic0.c`` first unless it is cached."""
+    with get_metrics().span("kernels/mic0") as span:
+        key = hashlib.sha256(MIC0_SOURCE.read_bytes() + " ".join(MIC0_CFLAGS).encode())
+        lib = _cache_dir() / f"mic0-{key.hexdigest()[:16]}.so"
+        compiled = not lib.exists()
+        if compiled:
+            _compile_mic0(lib)
+        fn = ctypes.CDLL(str(lib)).mic0_apply
+        if span is not None:
+            span.attrs["compiled"] = compiled
+    fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 9
+    fn.restype = None
+    return fn
+
+
+def _native_mic0():
+    """The compiled sweep, loading it on first use; None when unavailable.
+
+    Unlocked on purpose: two threads racing here both load the same cached
+    library (or both compile it, each into its own temp file), and no lock
+    can be left held in a child forked meanwhile.
+    """
+    global _mic0
+    if _mic0 is None:
+        try:
+            _mic0 = _load_mic0()
+        except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+            # no compiler, a failed compile or load, or a missing symbol:
+            # the SuperLU path computes the same bits
+            _log.warning("MIC(0) C sweep unavailable, using SuperLU: %s", exc)
+            _mic0 = False
+    return _mic0 or None
 
 
 def spectral_eligible(solid: np.ndarray) -> bool:
@@ -183,17 +276,21 @@ class MICTriangularFactor:
     using the coefficient grids precomputed by
     :class:`~repro.fluid.pcg.MIC0Preconditioner` (``_cl``/``_cb`` scale the
     left/below couplings of the forward sweep, ``_cr``/``_ca`` the
-    right/above couplings of the backward sweep).  Both factors carry their
-    off-diagonal entries in ascending column order — below then left, right
-    then above — which is exactly the order the grid-level wavefront
-    recurrence subtracts them in, so SuperLU's solves are bit-for-bit equal
-    to :meth:`MIC0Preconditioner.apply`.
+    right/above couplings of the backward sweep).  ``lower`` and ``upper``
+    hold the strict triangles as CSR, each row's entries in ascending
+    column order — below then left, right then above — which is exactly
+    the order the grid-level wavefront recurrence subtracts them in, so the
+    sweeps are bit-for-bit equal to :meth:`MIC0Preconditioner.apply`.
 
-    The hot path calls ``_superlu.gstrs`` directly with prebuilt CSC buffers
-    (the public :func:`~scipy.sparse.linalg.spsolve_triangular` wrapper pays
-    a copy + ``setdiag`` + empty-matrix construction per call); when the
-    private SuperLU module is unavailable the wrapper is used instead, and
-    the two paths return identical bits.
+    :meth:`apply` runs all four steps in one call of the C kernel
+    ``mic0_apply``; each call writes only its own output vector, so one
+    factor may be applied from several threads at once.  Where the kernel
+    cannot be built, the sweeps call SuperLU's ``gstrs`` directly with
+    unit-diagonal CSC operands (the public
+    :func:`~scipy.sparse.linalg.spsolve_triangular` wrapper pays a copy +
+    ``setdiag`` + empty-matrix construction per call), or that wrapper when
+    the private SuperLU module is unavailable; all three paths return
+    identical bits.
     """
 
     def __init__(self, kern: GeometryKernels, mic):
@@ -208,45 +305,29 @@ class MICTriangularFactor:
         left = fi[ys + 1, xs]  # (y, x-1)
         right = fi[ys + 1, xs + 2]  # (y, x+1)
         above = fi[ys + 2, xs + 1]  # (y+1, x)
-        diag = np.arange(n, dtype=np.int64)
-        ones = np.ones(n, dtype=np.float64)
 
         # forward-sweep coefficients live on the *neighbour* cell
         cb = mic._cb[ys - 1, xs] if n else np.zeros(0)
         cl = mic._cl[ys, xs - 1] if n else np.zeros(0)
-        self.lower = self._assemble(
-            n, [(below, cb), (left, cl), (diag, ones)]
-        )
+        self.lower = self._assemble(n, [(below, cb), (left, cl)])
         # backward-sweep coefficients live on the cell itself
         cr = mic._cr[ys, xs] if n else np.zeros(0)
         ca = mic._ca[ys, xs] if n else np.zeros(0)
-        self.upper = self._assemble(
-            n, [(diag, ones), (right, cr), (above, ca)]
-        )
+        self.upper = self._assemble(n, [(right, cr), (above, ca)])
 
-        # prebuilt gstrs operands: lower as canonical CSC; upper's CSR
-        # buffers reinterpreted as the CSC of its transpose (solved with
-        # trans="T") — the exact plumbing of the scipy wrapper.
-        lower_csc = sp.csc_matrix(self.lower)
-        self._l_args = (
-            lower_csc.nnz,
-            lower_csc.data,
-            _intc(lower_csc.indices),
-            _intc(lower_csc.indptr),
-        )
-        self._u_args = (
-            self.upper.nnz,
-            self.upper.data,
-            _intc(self.upper.indices),
-            _intc(self.upper.indptr),
-        )
-        empty = sp.csc_matrix((n, n), dtype=np.float64)
-        self._e_args = (
-            0,
-            empty.data,
-            _intc(empty.indices),
-            _intc(empty.indptr),
-        )
+        # the kernel's operands in the dtypes mic0.c declares, kept alive
+        # here: their addresses are passed on every call
+        lo, up = self.lower, self.upper
+        self._native = [
+            np.ascontiguousarray(a, dtype=dt)
+            for a, dt in (
+                (lo.indptr, np.int64), (lo.indices, np.int64), (lo.data, np.float64),
+                (up.indptr, np.int64), (up.indices, np.int64), (up.data, np.float64),
+                (self.precon_flat, np.float64),
+            )
+        ]
+        self._native_ptrs = tuple(a.ctypes.data for a in self._native)
+        self._superlu_ops = None
 
     @staticmethod
     def _assemble(n: int, slots) -> sp.csr_matrix:
@@ -259,31 +340,55 @@ class MICTriangularFactor:
             np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
-    def _solve_lower(self, b: np.ndarray) -> np.ndarray:
-        if _superlu is None:
-            return spsolve_triangular(self.lower, b, lower=True, unit_diagonal=True)
-        x, info = _superlu.gstrs(
-            "N", self.n, *self._l_args, self.n, *self._e_args, b.copy()
-        )
-        if info:  # pragma: no cover - factor is unit-diagonal by construction
-            raise RuntimeError("MIC(0) lower solve failed")
-        return x
-
-    def _solve_upper(self, b: np.ndarray) -> np.ndarray:
-        if _superlu is None:
-            return spsolve_triangular(self.upper, b, lower=False, unit_diagonal=True)
-        x, info = _superlu.gstrs(
-            "T", self.n, *self._u_args, self.n, *self._e_args, b.copy()
-        )
-        if info:  # pragma: no cover
-            raise RuntimeError("MIC(0) upper solve failed")
-        return x
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Apply the preconditioner to a flat fluid vector."""
         if self.n == 0:
             return np.zeros_like(r)
-        t = self._solve_lower(r)
+        mic0 = _native_mic0()
+        if mic0 is None:
+            return self._apply_superlu(r)
+        r = np.ascontiguousarray(r, dtype=np.float64)
+        if r.shape != (self.n,):
+            raise ValueError(f"expected a flat vector of {self.n} cells, got shape {r.shape}")
+        z = np.empty(self.n)
+        mic0(self.n, *self._native_ptrs, r.ctypes.data, z.ctypes.data)
+        return z
+
+    # -- SuperLU path, where the C kernel is unavailable ------------------
+    def _superlu_operands(self):
+        """Unit-diagonal factors and their prebuilt ``gstrs`` operands."""
+        if self._superlu_ops is None:
+            eye = sp.identity(self.n, format="csr")
+            # canonical sums: the diagonal lands after a lower row's entries
+            # and before an upper row's, keeping ascending column order
+            lower = (self.lower + eye).tocsr()
+            upper = (self.upper + eye).tocsr()
+            # lower as canonical CSC; upper's CSR buffers reinterpreted as
+            # the CSC of its transpose (solved with trans="T") — the exact
+            # plumbing of the scipy wrapper.
+            lower_csc = sp.csc_matrix(lower)
+            empty = sp.csc_matrix((self.n, self.n), dtype=np.float64)
+            self._superlu_ops = (
+                lower,
+                upper,
+                (lower_csc.nnz, lower_csc.data, _intc(lower_csc.indices), _intc(lower_csc.indptr)),
+                (upper.nnz, upper.data, _intc(upper.indices), _intc(upper.indptr)),
+                (0, empty.data, _intc(empty.indices), _intc(empty.indptr)),
+            )
+        return self._superlu_ops
+
+    def _apply_superlu(self, r: np.ndarray) -> np.ndarray:
+        lower, upper, l_args, u_args, e_args = self._superlu_operands()
+        if _superlu is None:
+            t = spsolve_triangular(lower, r, lower=True, unit_diagonal=True)
+            q = t * self.precon_flat
+            s = spsolve_triangular(upper, q, lower=False, unit_diagonal=True)
+            return s * self.precon_flat
+        t, info = _superlu.gstrs("N", self.n, *l_args, self.n, *e_args, r.copy())
+        if info:  # pragma: no cover - factor is unit-diagonal by construction
+            raise RuntimeError("MIC(0) lower solve failed")
         q = t * self.precon_flat
-        s = self._solve_upper(q)
+        s, info = _superlu.gstrs("T", self.n, *u_args, self.n, *e_args, q)
+        if info:  # pragma: no cover
+            raise RuntimeError("MIC(0) upper solve failed")
         return s * self.precon_flat

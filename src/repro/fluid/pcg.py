@@ -6,7 +6,7 @@ with the Modified Incomplete Cholesky level-0 factorisation ("MICCG(0)").
 
 The CG loop runs on flat fluid-cell vectors using the per-geometry
 :class:`~repro.fluid.kernels.GeometryKernels` artifact: CSR matvec for
-``A·s``, SuperLU triangular solves for the MIC(0) sweeps, allocation-free
+``A·s``, one C-kernel call for both MIC(0) sweeps, allocation-free
 reductions.  Its C-level loops accumulate in exactly the order of the
 matrix-free grid recurrences (see :mod:`repro.fluid.kernels`), so it is
 bit-for-bit equal to the grid-level CG loop; the test suite keeps that loop
@@ -74,7 +74,7 @@ class MIC0Preconditioner:
     :class:`~repro.fluid.kernels.MICTriangularFactor`, which is what makes
     its sparse sweeps bitwise-equal to :meth:`apply`: both subtract the
     smaller-flat-index contribution first (below before left, right before
-    above), matching SuperLU's ascending-column accumulation.
+    above), the ascending-column order of its C kernel and of SuperLU.
     """
 
     def __init__(self, solid: np.ndarray, tau: float = 0.97, sigma: float = 0.25):
@@ -237,7 +237,7 @@ class PCGSolver(PressureSolver):
         return result
 
     def _solve_kernel(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
-        """Flat fluid-vector CG: CSR matvec + SuperLU triangular sweeps."""
+        """Flat fluid-vector CG: CSR matvec + the factor's triangular sweeps."""
         kern: GeometryKernels = self._kernels_cache.get(
             solid, lambda: GeometryKernels(solid), metrics
         )

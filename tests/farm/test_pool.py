@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.farm import FarmReport, JobSpec, SimulationFarm
+from repro.metrics import MetricsRegistry, get_metrics, set_metrics
 
 
 def make_jobs(n, **kwargs):
@@ -40,6 +41,25 @@ class TestSerialBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             SimulationFarm(backend="gpu")
+
+    def test_spans_without_a_registry_land_in_the_job_profile(self):
+        """``kernels/build`` opens on the process default registry; a serial
+        job installs its own there, as a pool child does, and restores the
+        caller's afterwards."""
+
+        def span_names(registry):
+            family = registry.to_dict().get("families", {}).get("span_seconds", {})
+            return {e["labels"][0] for e in family.get("series", [])}
+
+        caller = MetricsRegistry()
+        previous = set_metrics(caller)
+        try:
+            report = SimulationFarm(backend="serial", trace=True).run(make_jobs(1))
+            assert get_metrics() is caller
+        finally:
+            set_metrics(previous)
+        assert "kernels/build" in span_names(report.metrics)
+        assert "kernels/build" not in span_names(caller)
 
 
 class TestProcessBackend:
