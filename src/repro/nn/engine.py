@@ -41,6 +41,15 @@ no steady-state allocation:
   because OpenBLAS's ``sgemm`` took 2.3–2.8× as long with ``beta=1`` as
   with ``beta=0`` at 1–4k rows.  A directly following activation runs in
   place on the finished tile.
+* **narrow fp64 convs gather** — below 8 output channels
+  (:data:`_BLAS_MIN_CHANNELS`) OpenBLAS's ``dgemm`` runs 3.4–4.7× slower
+  with ``beta=1`` than with ``beta=0``, so such a conv copies its k²
+  shifted slices side by side into one ``(rows, k²·C)`` scratch tile,
+  runs one ``beta=0`` ``dgemm`` straight into the accumulator and then
+  adds the same-shape bias tile (no ufunc buffer): 3 NumPy/BLAS calls
+  per tile instead of k² + 1.  A 4-channel Tompson forward took
+  0.21 → 0.10 ms at 16² and 10.4 → 4.5 ms at 128²; in a wider net only
+  the final 1×1 output conv takes this path.
 
 Forward times of an 8-channel Tompson net (Intel Xeon with AVX-512, 1
 BLAS thread), the per-image-row convolution this layout replaced → this
@@ -73,6 +82,7 @@ fall back to the legacy forward.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemm
 
 from repro.metrics import get_metrics
@@ -87,6 +97,13 @@ __all__ = ["PlanError", "InferencePlan"]
 
 #: Most rows per conv GEMM tile; a conv's rows split into equal tiles.
 _TILE_ROWS = 4096
+
+#: Fewest output channels an fp64 conv sums inside BLAS, one ``beta=1``
+#: ``dgemm`` per kernel offset.  Below it OpenBLAS's ``dgemm`` took 3.4–4.7×
+#: as long with ``beta=1`` as with ``beta=0`` (286 and 4,222 rows, 1–7
+#: outputs; level at 8 and more), so a narrower conv gathers its k² shifted
+#: slices into one tile and runs one ``beta=0`` GEMM, then adds the bias.
+_BLAS_MIN_CHANNELS = 8
 
 
 class PlanError(ValueError):
@@ -218,6 +235,10 @@ class _ConvStep(_Step):
     Output row ``r = y·S + x`` of the destination span reads source row
     ``r + (pad_grid - pad + i)·S + (pad_grid - pad + j)`` under offset
     ``(i, j)``, so each offset is one contiguous slice of the source.
+
+    An fp64 conv with fewer than :data:`_BLAS_MIN_CHANNELS` outputs instead
+    gathers the k² slices side by side into one ``(rows, k²·C)`` tile and
+    runs one GEMM on it (see :data:`_BLAS_MIN_CHANNELS`).
     """
 
     def __init__(self, conv: Conv2d, epilogue, src: _Image, dst: _Image, dtype):
@@ -230,7 +251,9 @@ class _ConvStep(_Step):
             conv.weight.value.transpose(2, 3, 1, 0).astype(dtype)
         )  # (k, k, C, F)
         self.bias = conv.bias.value.astype(dtype)
-        self.blas = np.dtype(dtype) == np.float64
+        fp64 = np.dtype(dtype) == np.float64
+        self.blas = fp64 and dst.channels >= _BLAS_MIN_CHANNELS
+        self.gather = fp64 and not self.blas
 
     def _tile_rows(self) -> int:
         rows = self.dst.grid.span_rows
@@ -238,7 +261,8 @@ class _ConvStep(_Step):
         return -(-rows // n_tiles)
 
     def scratch_size(self) -> int:
-        return self._tile_rows() * self.dst.channels
+        cols = self.kernel**2 * self.src.channels if self.gather else 0
+        return self._tile_rows() * (self.dst.channels + cols)
 
     def bind(self, scratch: np.ndarray) -> None:
         k, f = self.kernel, self.dst.channels
@@ -254,7 +278,22 @@ class _ConvStep(_Step):
             m = len(acc)
             xs = [self.src.flat[r0 + d : r0 + d + m] for d in shifts]
             tmp = scratch[: m * f].reshape(m, f)
-            if self.blas:
+            gather = None
+            if self.gather:
+                # row r of the (m, k, k, C) window is the k² source rows that
+                # output row r reads, offset-major as in ``w_off``; copied
+                # into one tile they make X @ W a single (m, k²·C) GEMM
+                cols = scratch[m * f : m * (f + k * k * self.src.channels)]
+                window = as_strided(
+                    xs[0],
+                    shape=(m, k, k, self.src.channels),
+                    strides=(xs[0].strides[0], s * xs[0].strides[0]) + xs[0].strides,
+                    writeable=False,
+                )
+                gather = (cols.reshape(window.shape), window)
+                weights = [self.w_off.reshape(-1, f)]
+                xs = [cols.reshape(m, -1)]
+            if self.blas or self.gather:
                 # the C-order (m, F) tile is a Fortran-order (F, m) matrix c,
                 # and c += W.T @ X.T is acc += X @ W
                 c = acc.T
@@ -265,18 +304,24 @@ class _ConvStep(_Step):
             else:
                 c = None
                 operands = list(zip(weights, xs))
-            self._tiles.append((acc, bias_tile[:m], c, operands, tmp))
+            self._tiles.append((acc, bias_tile[:m], c, operands, tmp, gather))
 
     def run(self) -> None:
-        for acc, bias, c, operands, tmp in self._tiles:
-            np.copyto(acc, bias)
-            if c is not None:
-                for wt, xt in operands:  # positional overwrite_c=1 parses faster
-                    dgemm(1.0, wt, xt, 1.0, c, 0, 0, 1)
+        for acc, bias, c, operands, tmp, gather in self._tiles:
+            if gather is not None:
+                np.copyto(*gather)
+                wt, xt = operands[0]
+                dgemm(1.0, wt, xt, 0.0, c, 0, 0, 1)  # beta=0 overwrites acc
+                acc += bias
             else:
-                for w, x in operands:
-                    np.matmul(x, w, out=tmp)
-                    acc += tmp
+                np.copyto(acc, bias)
+                if c is not None:
+                    for wt, xt in operands:  # positional overwrite_c=1 parses faster
+                        dgemm(1.0, wt, xt, 1.0, c, 0, 0, 1)
+                else:
+                    for w, x in operands:
+                        np.matmul(x, w, out=tmp)
+                        acc += tmp
             if self.epilogue is not None:
                 self.epilogue(acc, tmp)
         self.dst.gaps.fill(0)

@@ -68,8 +68,21 @@ def resampled():
     ])
 
 
+def wide_and_narrow():
+    """8-wide convs, which sum their offsets inside BLAS, between narrower
+    ones, which gather them into one GEMM."""
+    rng = np.random.default_rng(9)
+    return Network([
+        Conv2d(2, 8, 3, rng=rng), ReLU(),
+        Conv2d(8, 8, 5, rng=rng), LeakyReLU(0.2),
+        Conv2d(8, 3, 3, rng=rng), Tanh(),
+        Conv2d(3, 9, 3, rng=rng), ReLU(),
+        Conv2d(9, 1, 1, rng=rng),
+    ])
+
+
 #: (net, grid) pairs off the square 32² path: odd and non-square grids for the
-#: pool-free net, even ones for the pooled net, and 65×70 and 66×70 split
+#: pool-free nets, even ones for the pooled net, and 65×70 and 66×70 split
 #: into two GEMM tiles
 EDGE_CASES = [
     (mixed_kernels, (24, 40)),
@@ -77,6 +90,8 @@ EDGE_CASES = [
     (mixed_kernels, (65, 70)),
     (resampled, (24, 40)),
     (resampled, (66, 70)),
+    (wide_and_narrow, (33, 17)),
+    (wide_and_narrow, (65, 70)),
 ]
 EDGE_IDS = [f"{make.__name__}-{h}x{w}" for make, (h, w) in EDGE_CASES]
 
