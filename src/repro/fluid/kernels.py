@@ -30,10 +30,12 @@ suite keeps as its oracle.
 The C kernel is compiled on the first MIC(0) apply of a process (never at
 import) with ``cc -O2 -ffp-contract=off -fPIC -shared`` into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), under a name keyed
-by the SHA-256 of its source and flags, so a machine compiles it once and
-later processes only load it.  Without a working ``cc`` it logs one warning
-and the sweeps run in SciPy's SuperLU triangular solves, which subtract in
-the same order and return the same bits.
+by the SHA-256 of its source, flags and machine architecture, so a machine
+compiles it once and later processes only load it.  The directory and the
+library must belong to the user and be writable by no one else, or they are
+not loaded.  Without a working ``cc``, or with such a cache, it logs one
+warning and the sweeps run in SciPy's SuperLU triangular solves, which
+subtract in the same order and return the same bits.
 
 :func:`spectral_eligible` classifies masks that are a pure closed box (border
 wall, no interior solids), the geometry class the DCT-based
@@ -46,7 +48,9 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
@@ -78,10 +82,25 @@ MIC0_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _mic0 = None
 
 
+def _check_private(path: Path) -> None:
+    """Raise OSError unless this user owns ``path`` and no one else may write it.
+
+    A library another user could write (or plant) would run as native code
+    in this process, so such a cache entry is refused, and the refusal
+    routes to the SuperLU path like any other load failure.
+    """
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise OSError(
+            f"{path} is not private (owner uid {st.st_uid}, mode {stat.S_IMODE(st.st_mode):o})"
+        )
+
+
 def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     path = Path(base) / "repro"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)  # the mode applies only if new
+    _check_private(path)
     return path
 
 
@@ -102,6 +121,7 @@ def _compile_mic0(lib: Path) -> None:
         )
         if proc.returncode:
             raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
+        os.chmod(tmp, 0o700)  # the linker's mode follows the umask
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
@@ -111,11 +131,15 @@ def _compile_mic0(lib: Path) -> None:
 def _load_mic0():
     """Load ``mic0_apply``, compiling ``mic0.c`` first unless it is cached."""
     with get_metrics().span("kernels/mic0") as span:
-        key = hashlib.sha256(MIC0_SOURCE.read_bytes() + " ".join(MIC0_CFLAGS).encode())
+        # a cache shared by machines of two architectures keeps one library each
+        key = hashlib.sha256(
+            MIC0_SOURCE.read_bytes() + " ".join(MIC0_CFLAGS).encode() + platform.machine().encode()
+        )
         lib = _cache_dir() / f"mic0-{key.hexdigest()[:16]}.so"
         compiled = not lib.exists()
         if compiled:
             _compile_mic0(lib)
+        _check_private(lib)
         fn = ctypes.CDLL(str(lib)).mic0_apply
         if span is not None:
             span.attrs["compiled"] = compiled

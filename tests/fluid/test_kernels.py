@@ -7,6 +7,7 @@ assertion here is exact (``==`` / ``assert_array_equal``), not approximate.
 import hashlib
 import logging
 import os
+import platform
 import shutil
 import stat
 import subprocess
@@ -118,7 +119,12 @@ class TestGeometryKernels:
 
 class TestMICTriangularFactor:
     @pytest.mark.parametrize("label,geom", GEOMETRIES)
-    def test_factor_apply_matches_wavefront_apply_bitwise(self, label, geom):
+    @pytest.mark.parametrize("sweep", ["native", "superlu"])
+    def test_factor_apply_matches_wavefront_apply_bitwise(self, sweep, label, geom, monkeypatch):
+        if sweep == "native":
+            require_native()
+        else:
+            monkeypatch.setattr(kernels_mod, "_mic0", False)
         solid = geom()
         kern = GeometryKernels(solid)
         mic = MIC0Preconditioner(solid)
@@ -149,17 +155,6 @@ class TestMICTriangularFactor:
         monkeypatch.setattr(kernels_mod, "_superlu", None)
         slow = factor.apply(r)
         np.testing.assert_array_equal(fast, slow)
-
-    @pytest.mark.parametrize("label,geom", GEOMETRIES)
-    def test_superlu_path_matches_native_bitwise(self, label, geom, monkeypatch):
-        require_native()
-        solid = geom()
-        kern = GeometryKernels(solid)
-        factor = MICTriangularFactor(kern, MIC0Preconditioner(solid))
-        r = kern.gather(make_rhs(solid, seed=9))
-        native = factor.apply(r)
-        monkeypatch.setattr(kernels_mod, "_mic0", False)
-        np.testing.assert_array_equal(factor.apply(r), native)
 
     def test_one_factor_applies_from_many_threads(self):
         """Applies share no work buffer: concurrent calls keep their own bits."""
@@ -221,9 +216,35 @@ class TestNativeBuild:
         cache = tmp_path / "repro"
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
         digest = hashlib.sha256(
-            kernels_mod.MIC0_SOURCE.read_bytes() + " ".join(kernels_mod.MIC0_CFLAGS).encode()
+            kernels_mod.MIC0_SOURCE.read_bytes()
+            + " ".join(kernels_mod.MIC0_CFLAGS).encode()
+            + platform.machine().encode()
         ).hexdigest()[:16]
         assert [p.name for p in cache.iterdir()] == [f"mic0-{digest}.so"]
+        library = cache / f"mic0-{digest}.so"
+        assert stat.S_IMODE(library.stat().st_mode) & (stat.S_IWGRP | stat.S_IWOTH) == 0
+
+    @pytest.mark.parametrize("loose", ["directory", "library"])
+    def test_cache_others_may_write_is_not_loaded(self, loose, monkeypatch, tmp_path, caplog):
+        """A cache entry another user could have written or planted falls back."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernels_mod, "_mic0", None)
+        assert kernels_mod._native_mic0() is not None  # builds the library
+        cache = tmp_path / "repro"
+        (library,) = cache.iterdir()
+        target, mode = (cache, 0o777) if loose == "directory" else (library, 0o775)
+        target.chmod(mode)
+        monkeypatch.setattr(kernels_mod, "_mic0", None)
+        solid = multi_obstacle()
+        b = make_rhs(solid)
+        with caplog.at_level(logging.WARNING, logger=kernels_mod.__name__):
+            result = PCGSolver().solve(b, solid)
+        assert kernels_mod._mic0 is False
+        (message,) = [r.getMessage() for r in caplog.records if "SuperLU" in r.getMessage()]
+        assert f"{target} is not private" in message
+        assert_results_identical(result, ReferencePCGSolver().solve(b, solid))
 
     def test_failed_build_falls_back_bitwise(self, monkeypatch, tmp_path, caplog):
         solid = multi_obstacle()
