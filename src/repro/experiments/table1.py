@@ -8,9 +8,10 @@ less accurate.  On the paper's GPU the gap to PCG is orders of magnitude;
 against this repository's compiled MICCG(0) at CPU scale it is much smaller
 (see EXPERIMENTS.md).
 
-The three methods are timed in :data:`ROUNDS` interleaved rounds over the
-same problems, and each method reports its median round, so host load that
-comes and goes during a run lands on every method alike.
+The three methods are timed in :data:`ROUNDS` rounds over the same
+problems.  Within a round each problem runs through every method in turn,
+and each method reports its median round, so host load that comes and goes
+during a run lands on every method alike.
 """
 
 from __future__ import annotations
@@ -78,10 +79,13 @@ def run_table1(artifacts: Artifacts | None = None) -> Table1Result:
     round_ms: dict[str, list[float]] = {name: [] for name in factories}
     quality: dict[str, float] = {}
     for _ in range(ROUNDS):
-        for name, factory in factories.items():
-            stats = evaluate_solver(factory, problems, reference)
-            round_ms[name].append(float(np.mean([s.solve_seconds for s in stats]) * 1000.0))
-            quality[name] = float(np.mean([s.quality_loss for s in stats]))
+        stats = {name: [] for name in factories}
+        for problem in problems:
+            for name, factory in factories.items():
+                stats[name] += evaluate_solver(factory, [problem], reference)
+        for name, runs in stats.items():
+            round_ms[name].append(float(np.mean([s.solve_seconds for s in runs]) * 1000.0))
+            quality[name] = float(np.mean([s.quality_loss for s in runs]))
     return Table1Result(
         rows=[
             Table1Row(

@@ -44,12 +44,12 @@ no steady-state allocation:
 * **narrow fp64 convs gather** — below 8 output channels
   (:data:`_BLAS_MIN_CHANNELS`) OpenBLAS's ``dgemm`` runs 3.4–4.7× slower
   with ``beta=1`` than with ``beta=0``, so such a conv copies its k²
-  shifted slices side by side into one ``(rows, k²·C)`` scratch tile,
-  runs one ``beta=0`` ``dgemm`` straight into the accumulator and then
-  adds the same-shape bias tile (no ufunc buffer): 3 NumPy/BLAS calls
-  per tile instead of k² + 1.  A 4-channel Tompson forward took
-  0.21 → 0.10 ms at 16² and 10.4 → 4.5 ms at 128²; in a wider net only
-  the final 1×1 output conv takes this path.
+  shifted slices, one channel row each, into one ``(k²·C, rows)``
+  scratch tile, runs one ``beta=0`` ``dgemm`` straight into the
+  accumulator and then adds the same-shape bias tile (no ufunc buffer):
+  3 NumPy/BLAS calls per tile instead of k² + 1.  A 4-channel Tompson
+  forward took 0.19 → 0.068 ms at 16² and 9.6 → 3.3 ms at 128²; in a
+  wider net only the final 1×1 output conv takes this path.
 
 Forward times of an 8-channel Tompson net (Intel Xeon with AVX-512, 1
 BLAS thread), the per-image-row convolution this layout replaced → this
@@ -237,8 +237,8 @@ class _ConvStep(_Step):
     ``(i, j)``, so each offset is one contiguous slice of the source.
 
     An fp64 conv with fewer than :data:`_BLAS_MIN_CHANNELS` outputs instead
-    gathers the k² slices side by side into one ``(rows, k²·C)`` tile and
-    runs one GEMM on it (see :data:`_BLAS_MIN_CHANNELS`).
+    gathers the k² slices into one ``(k²·C, rows)`` tile and runs one GEMM
+    on it (see :data:`_BLAS_MIN_CHANNELS`).
     """
 
     def __init__(self, conv: Conv2d, epilogue, src: _Image, dst: _Image, dtype):
@@ -280,38 +280,43 @@ class _ConvStep(_Step):
             tmp = scratch[: m * f].reshape(m, f)
             gather = None
             if self.gather:
-                # row r of the (m, k, k, C) window is the k² source rows that
-                # output row r reads, offset-major as in ``w_off``; copied
-                # into one tile they make X @ W a single (m, k²·C) GEMM
-                cols = scratch[m * f : m * (f + k * k * self.src.channels)]
+                # the (k, k, C, m) window holds, per kernel offset (in the
+                # order of ``w_off``) and input channel, the m source rows the
+                # tile reads; copied into one C-order tile it is X.T, and
+                # acc = X @ W is one GEMM
+                row, item = xs[0].strides
                 window = as_strided(
                     xs[0],
-                    shape=(m, k, k, self.src.channels),
-                    strides=(xs[0].strides[0], s * xs[0].strides[0]) + xs[0].strides,
+                    shape=(k, k, self.src.channels, m),
+                    strides=(s * row, row, item, row),
                     writeable=False,
                 )
-                gather = (cols.reshape(window.shape), window)
-                weights = [self.w_off.reshape(-1, f)]
-                xs = [cols.reshape(m, -1)]
-            if self.blas or self.gather:
+                cols = scratch[m * f : m * f + window.size].reshape(window.shape)
+                gather = (cols, window)
+                c = acc.T
+                # b is the Fortran-order X, passed with trans_b=1
+                operands = [(self.w_off.reshape(-1, f).T, cols.reshape(-1, m).T)]
+                probe = dgemm(0.0, *operands[0], 1.0, c, 0, 1, 1)
+            elif self.blas:
                 # the C-order (m, F) tile is a Fortran-order (F, m) matrix c,
                 # and c += W.T @ X.T is acc += X @ W
                 c = acc.T
                 operands = [(w.T, x.T) for w, x in zip(weights, xs)]
-                # f2py hands back a copy of a ``c`` it cannot write in place
-                if dgemm(0.0, *operands[0], 1.0, c, overwrite_c=1) is not c:
-                    raise PlanError("dgemm would accumulate into a copy of the tile")
+                probe = dgemm(0.0, *operands[0], 1.0, c, overwrite_c=1)
             else:
                 c = None
                 operands = list(zip(weights, xs))
+            # f2py hands back a copy of a ``c`` it cannot write in place
+            if c is not None and probe is not c:
+                raise PlanError("dgemm would accumulate into a copy of the tile")
             self._tiles.append((acc, bias_tile[:m], c, operands, tmp, gather))
 
     def run(self) -> None:
         for acc, bias, c, operands, tmp, gather in self._tiles:
             if gather is not None:
                 np.copyto(*gather)
-                wt, xt = operands[0]
-                dgemm(1.0, wt, xt, 0.0, c, 0, 0, 1)  # beta=0 overwrites acc
+                wt, x = operands[0]
+                dgemm(1.0, wt, x, 0.0, c, 0, 1, 1)  # beta=0 overwrites acc
                 acc += bias
             else:
                 np.copyto(acc, bias)
