@@ -44,10 +44,10 @@ no steady-state allocation:
 * **narrow fp64 convs gather** — below 8 output channels
   (:data:`_BLAS_MIN_CHANNELS`) OpenBLAS's ``dgemm`` runs 3.4–4.7× slower
   with ``beta=1`` than with ``beta=0``, so such a conv copies its k²
-  shifted slices, one channel row each, into one ``(k²·C, rows)``
-  scratch tile, runs one ``beta=0`` ``dgemm`` straight into the
-  accumulator and then adds the same-shape bias tile (no ufunc buffer):
-  3 NumPy/BLAS calls per tile instead of k² + 1.  A 4-channel Tompson
+  shifted slices into one ``(k²·C, rows)`` scratch tile, one row per
+  offset and input channel, runs one ``beta=0`` ``dgemm`` straight into
+  the accumulator and then adds the same-shape bias tile (no ufunc
+  buffer): 3 NumPy/BLAS calls per tile instead of k² + 1.  A 4-channel Tompson
   forward took 0.19 → 0.068 ms at 16² and 9.6 → 3.3 ms at 128²; in a
   wider net only the final 1×1 output conv takes this path.
 
