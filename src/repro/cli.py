@@ -95,11 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pcg",
     )
     sim.add_argument(
-        "--precision", choices=["fp32", "fp64"], default="fp64",
-        help="NN inference precision (nn/nn-pcg solvers only): fp32 compiles "
-        "the single-precision plan, fp64 the double-precision one",
-    )
-    sim.add_argument(
         "--model", type=str, default=None, metavar="DIR",
         help="trained-model directory (repro.io.save_model layout) for the "
         "nn/nn-pcg solvers; default: seeded untrained Tompson network",
@@ -158,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--model", type=str, default=None, metavar="DIR",
             help="trained-model directory for nn/nn-pcg jobs "
             "(default: seeded untrained Tompson network)",
-        )
-        p.add_argument(
-            "--precision", choices=["fp32", "fp64"], default="fp64",
-            help="NN inference precision for nn jobs (fp64 = double-precision "
-            "default, fp32 = single-precision plan)",
         )
         p.add_argument(
             "--backend", choices=["process", "serial"], default="process",
@@ -389,14 +379,12 @@ def _cmd_simulate(args) -> int:
     def nn_solver():
         from repro.models import NNProjectionSolver
 
-        return NNProjectionSolver(
-            network(), passes=2, metrics=metrics, precision=args.precision
-        )
+        return NNProjectionSolver(network(), passes=2, metrics=metrics)
 
     def nn_pcg_solver():
         from repro.fluid import NNPCGSolver
 
-        return NNPCGSolver(network(), metrics=metrics, precision=args.precision)
+        return NNPCGSolver(network(), metrics=metrics)
 
     solver = {
         "pcg": lambda: PCGSolver(warm_start=args.warm_start, metrics=metrics),
@@ -437,7 +425,6 @@ def _cmd_simulate(args) -> int:
                         "steps": args.steps,
                         "scenario": sspec.to_string(),
                         "solver": args.solver,
-                        "precision": args.precision,
                         "warm_start": args.warm_start,
                     },
                     "total_seconds": dt,
@@ -589,13 +576,6 @@ def _build_farm_specs(args) -> list:
     grid_size = int(sspec.get("grid", args.grid))
     problems = generate_problems(args.jobs, grid_size)
     fail_step = max(1, args.steps // 2)
-    solver_params = {}
-    if args.solver == "nn" and args.precision != "fp64":
-        solver_params["precision"] = args.precision
-    elif args.solver == "nn-pcg":
-        # the flag's fp64 default applies here too, overriding the solver's
-        # own fp32 default
-        solver_params["precision"] = args.precision
     model_dir = args.model if args.solver in ("nn", "nn-pcg") else None
     return [
         JobSpec(
@@ -605,7 +585,6 @@ def _build_farm_specs(args) -> list:
             scenario=sspec.to_string(),
             steps=args.steps,
             solver=args.solver,
-            solver_params=solver_params,
             model_dir=model_dir,
             checkpoint_every=args.checkpoint_every,
             timeout_seconds=args.timeout,

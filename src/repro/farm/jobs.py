@@ -35,7 +35,9 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 #: v3's in the last bits.
 #: v5: fp64 ``nn`` inference accumulates its conv products inside BLAS,
 #: starting from the bias, so results differ from v4's in the last bits.
-CACHE_KEY_VERSION = 5
+#: v6: ``nn-pcg`` inference runs the fp64 plan, the only one left, so an
+#: ``nn-pcg`` spec without params computes other bits than v5's fp32 plan.
+CACHE_KEY_VERSION = 6
 
 #: solver identifiers a JobSpec may request
 SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")

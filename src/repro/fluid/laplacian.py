@@ -41,15 +41,22 @@ __all__ = [
 _components_cache = MaskKeyedCache("fluid_components")
 
 
-def fluid_components(solid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Connected fluid components of a mask: ``(labels, count)``.
+def fluid_components(solid: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Connected fluid components of a mask: ``(labels, count, cells)``.
 
-    Labelling depends only on the geometry, so the result is cached per
-    solid mask — ``remove_nullspace`` runs on every solve's right-hand side
-    and solution, making this a hot path.
+    ``cells[i]`` is the number of cells labelled ``i`` (label 0 is the solid
+    background), clamped to at least 1 so it can divide.  All three depend
+    only on the geometry, so they are cached per solid mask —
+    ``remove_nullspace`` runs on every solve's right-hand side and
+    solution, making this a hot path.
     """
 
-    return _components_cache.get(solid, lambda: label(~solid))
+    def build():
+        labels, count = label(~solid)
+        cells = np.maximum(np.bincount(labels.ravel(), minlength=count + 1), 1)
+        return labels, count, cells
+
+    return _components_cache.get(solid, build)
 
 
 def remove_nullspace(field: np.ndarray, solid: np.ndarray) -> np.ndarray:
@@ -62,14 +69,11 @@ def remove_nullspace(field: np.ndarray, solid: np.ndarray) -> np.ndarray:
     component — a single global mean leaves the system inconsistent and CG
     diverges.  Returns a new array, zero on solids.
     """
-    fluid = ~solid
-    out = np.where(fluid, field, 0.0)
-    labels, n = fluid_components(solid)
+    out = np.where(solid, 0.0, field)
+    labels, n, cells = fluid_components(solid)
     if n:
-        flat = labels.ravel()
-        sums = np.bincount(flat, weights=out.ravel(), minlength=n + 1)
-        counts = np.bincount(flat, minlength=n + 1)
-        means = sums / np.maximum(counts, 1)
+        sums = np.bincount(labels.ravel(), weights=out.ravel(), minlength=n + 1)
+        means = sums / cells
         means[0] = 0.0  # label 0 is the solid background
         out -= means[labels]
     return out

@@ -22,8 +22,8 @@ multigrid's coarse-grid correction):
 
 1. at each level, the network smooths the level residual:
    ``q_l = NN(r_l / sigma_l) * sigma_l`` (``sigma_l`` the fluid-cell std,
-   the training-time normalisation), run through the per-shape fp32
-   :class:`repro.nn.InferencePlan` fast path;
+   the training-time normalisation), run through the per-shape
+   :class:`repro.nn.InferencePlan`;
 2. the remaining residual ``r_l - A_l q_l`` is restricted (2x2 sum — the
    factor-4 stencil rescale built in) to the next level, corrected there
    recursively, and the coarse correction is prolonged back (bilinear) and
@@ -76,8 +76,6 @@ from .pcg import MIC0Preconditioner
 from .solver_api import MaskKeyedCache, PressureSolver, SolveResult
 
 __all__ = ["NNPCGSolver"]
-
-_PRECISIONS = {"fp32": np.float32, "fp64": np.float64}
 
 #: below this, a denominator/sigma is treated as exactly zero (matches PCG)
 _TINY = 1e-300
@@ -165,12 +163,6 @@ class NNPCGSolver(PressureSolver):
         Pyramid coarsening stops before any side would drop below this.
         ``min_level`` >= the grid size disables the pyramid entirely,
         giving DCDM's original single-level direction.
-    precision:
-        ``"fp32"`` (default) compiles the single-precision inference
-        plan; ``"fp64"`` the double-precision one.  The CG state (``p``,
-        ``r``, all reductions) is always float64 — precision only affects
-        the quality of proposed directions, never the residual accounting,
-        so convergence checks stay PCG-grade.
     metrics:
         Registry receiving solver counters and spans; defaults to the
         process-wide registry.
@@ -185,7 +177,6 @@ class NNPCGSolver(PressureSolver):
         window: int = 2,
         cycles: int = 2,
         min_level: int = 8,
-        precision: str = "fp32",
         metrics: MetricsRegistry | None = None,
     ):
         if window < 0:
@@ -194,10 +185,6 @@ class NNPCGSolver(PressureSolver):
             raise ValueError("cycles must be >= 1")
         if min_level < 4:
             raise ValueError("min_level must be >= 4")
-        if precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {sorted(_PRECISIONS)}, got {precision!r}"
-            )
         self.model = model
         self.name = name
         self.tol = tol
@@ -205,7 +192,6 @@ class NNPCGSolver(PressureSolver):
         self.window = window
         self.cycles = cycles
         self.min_level = min_level
-        self.precision = precision
         self._metrics = metrics
         self._pyramid_cache = MaskKeyedCache("nn_pyramid")
         self._kernels_cache = MaskKeyedCache("kernels", capacity=16)
@@ -242,22 +228,15 @@ class NNPCGSolver(PressureSolver):
         if plan is not None:
             return plan
         try:
-            with metrics.span("plan_build", solver=self.name, precision=self.precision):
-                plan = InferencePlan(
-                    self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
-                )
+            with metrics.span("plan_build", solver=self.name):
+                plan = InferencePlan(self.model, (2,) + shape)
         except PlanError:
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         self._plans[shape] = plan
         metrics.inc(f"solver/{self.name}/plan_builds")
-        get_tracer().event(
-            "plan_build",
-            solver=self.name,
-            shape=list(shape),
-            precision=self.precision,
-        )
+        get_tracer().event("plan_build", solver=self.name, shape=list(shape))
         return plan
 
     def _nn_apply(self, r: np.ndarray, level: _PyramidLevel, metrics) -> np.ndarray:
@@ -277,7 +256,7 @@ class NNPCGSolver(PressureSolver):
             out = self.model.forward(x, training=False)
         else:
             out = plan.run(x)
-        q = out[0, 0].astype(np.float64, copy=False) * sigma
+        q = out[0, 0] * sigma
         return np.where(fluid, q, 0.0)
 
     def _nn_vcycle(
@@ -328,9 +307,7 @@ class NNPCGSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.span(
-            f"solve/{self.name}", precision=self.precision, window=self.window
-        ) as sp:
+        with metrics.span(f"solve/{self.name}", window=self.window) as sp:
             result, nn_steps, safeguard_steps = self._solve(b, solid, metrics)
             if sp is not None:
                 sp.attrs["iterations"] = result.iterations

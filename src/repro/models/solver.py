@@ -24,16 +24,12 @@ allocations.  ``reset()`` drops both.
 
 Inference engine: forward passes run through a compiled
 :class:`repro.nn.InferencePlan` (built lazily per input shape, rebuilt
-only when the shape changes).  ``precision="fp64"`` (default) compiles a
-double-precision plan, whose output matches the legacy layer-by-layer
-forward to summation-order rounding (max deviation ``<= 1e-12`` relative
-to the output's magnitude) and is bitwise reproducible run to run;
-``precision="fp32"`` compiles the single-precision plan — the normalised
-residual is cast to float32 on the way into the plan and the predicted
-pressure increment is cast back to float64 here at the solver boundary,
-so everything downstream (PCG-grade residual accounting, DivNorm
-histories, checkpoints) stays double.  Models outside the plan vocabulary
-fall back to the legacy forward (counted via
+only when the shape changes).  The plan computes in float64, matches the
+legacy layer-by-layer forward to summation-order rounding (max deviation
+``<= 1e-12`` relative to the output's magnitude) and is bitwise
+reproducible run to run, so everything downstream (PCG-grade residual
+accounting, DivNorm histories, checkpoints) stays double.  Models outside
+the plan vocabulary fall back to the legacy forward (counted via
 ``solver/<name>/plan_unsupported``).
 """
 
@@ -50,8 +46,6 @@ from repro.trace import get_tracer
 
 __all__ = ["NNProjectionSolver"]
 
-_PRECISIONS = {"fp32": np.float32, "fp64": np.float64}
-
 
 class NNProjectionSolver(PressureSolver):
     """Pressure-solver protocol implementation backed by a neural network."""
@@ -62,18 +56,12 @@ class NNProjectionSolver(PressureSolver):
         name: str = "nn",
         passes: int = 2,
         metrics: MetricsRegistry | None = None,
-        precision: str = "fp64",
     ):
         if passes < 1:
             raise ValueError("passes must be >= 1")
-        if precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {sorted(_PRECISIONS)}, got {precision!r}"
-            )
         self.model = model
         self.name = name
         self.passes = passes
-        self.precision = precision
         self._metrics = metrics
         self._geo_cache = MaskKeyedCache("nn_geometry")
         self._kernels_cache = MaskKeyedCache("kernels")
@@ -109,22 +97,15 @@ class NNProjectionSolver(PressureSolver):
         if self._plan is not None and self._plan.input_shape == (2,) + shape:
             return self._plan
         try:
-            with metrics.span("plan_build", solver=self.name, precision=self.precision):
-                self._plan = InferencePlan(
-                    self.model, (2,) + shape, dtype=_PRECISIONS[self.precision]
-                )
+            with metrics.span("plan_build", solver=self.name):
+                self._plan = InferencePlan(self.model, (2,) + shape)
         except PlanError:
             self._plan = None
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         metrics.inc(f"solver/{self.name}/plan_builds")
-        get_tracer().event(
-            "plan_build",
-            solver=self.name,
-            shape=list(shape),
-            precision=self.precision,
-        )
+        get_tracer().event("plan_build", solver=self.name, shape=list(shape))
         return self._plan
 
     def _infer(self, x: np.ndarray, metrics: MetricsRegistry) -> np.ndarray:

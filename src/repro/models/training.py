@@ -57,9 +57,8 @@ class TrainedModel:
 
         Keyword arguments pass through to
         :class:`repro.fluid.NNPCGSolver` (``tol``, ``window``, ``cycles``,
-        ``precision``, ...).  Unlike :meth:`solver`, the result converges
-        to PCG tolerance on every input — the network only steers the
-        search directions.
+        ...).  Unlike :meth:`solver`, the result converges to PCG tolerance
+        on every input — the network only steers the search directions.
         """
         from repro.fluid import NNPCGSolver
 

@@ -5,13 +5,11 @@ layer list, and every layer allocates its own output — plus, for
 convolutions, materialises an im2col column buffer and runs three separate
 array passes (GEMM, bias add, activation) over per-layer temporaries.
 That cost structure is what the paper's surrogate competes against the
-exact solver with, and Wandel et al. ("Teaching the Incompressible
-Navier-Stokes Equations to Fast Neural Surrogate Models") show fp32
-surrogates lose no usable pressure accuracy.
+exact solver with.
 
-An :class:`InferencePlan` is compiled once per (network, input shape,
-dtype) for one ``(1, C, H, W)`` sample and then runs forward passes with
-no steady-state allocation:
+An :class:`InferencePlan` is compiled once per (network, input shape) for
+one ``(1, C, H, W)`` sample and then runs float64 forward passes with no
+steady-state allocation:
 
 * **flat padded rows** — every activation is a zero-padded NHWC image
   stored as one flat ``(rows, C)`` matrix, carved out of a single
@@ -23,25 +21,22 @@ no steady-state allocation:
   shifted by a constant, so each offset is one contiguous row slice and
   one 2-D ``(rows, C) @ (C, F)`` GEMM.  The rows run in tiles of at most
   ``_TILE_ROWS`` (4096), which keeps one tile's input slab and
-  accumulator in a core's 2 MiB L2: an untiled fp64 pass over 16,638
-  rows at 128² has a ≈ 2 MB working set per layer, and its forward took
-  8.6 ms against 5.1 ms tiled.
+  accumulator in a core's 2 MiB L2: an untiled pass over 16,638 rows at
+  128² has a ≈ 2 MB working set per layer, and its forward took 8.6 ms
+  against 5.1 ms tiled.
 * **chained buffers** — a conv writes its output rows straight into the
   next layer's padded image.  The ``2·pad`` rows per image row that fall
   on pad cells compute garbage and are re-zeroed, so every image's pads
   read zero again before the next layer runs.
 * **bias-first accumulation** — each tile's accumulator starts as a copy
   of a prebuilt bias tile (a plain copy needs no NumPy ufunc buffer, a
-  broadcast ``acc += bias`` takes up to 64 KiB per call).  ``float64``
-  adds the k² products inside BLAS: SciPy's ``dgemm`` with ``beta=1``
+  broadcast ``acc += bias`` takes up to 64 KiB per call), and the k²
+  products are added inside BLAS: SciPy's ``dgemm`` with ``beta=1``
   writes in place into the tile's Fortran-order transpose.  Its f2py
   wrapper holds the GIL for the call (``np.matmul`` releases it), so
-  other Python threads wait while a thread runs fp64 forwards.
-  ``float32`` keeps ``matmul`` into a scratch tile plus an in-place add,
-  because OpenBLAS's ``sgemm`` took 2.3–2.8× as long with ``beta=1`` as
-  with ``beta=0`` at 1–4k rows.  A directly following activation runs in
-  place on the finished tile.
-* **narrow fp64 convs gather** — below 8 output channels
+  other Python threads wait while a thread runs forwards.  A directly
+  following activation runs in place on the finished tile.
+* **narrow convs gather** — below 8 output channels
   (:data:`_BLAS_MIN_CHANNELS`) OpenBLAS's ``dgemm`` runs 3.4–4.7× slower
   with ``beta=1`` than with ``beta=0``, so such a conv copies its k²
   shifted slices into one ``(k²·C, rows)`` scratch tile, one row per
@@ -55,24 +50,22 @@ Forward times of an 8-channel Tompson net (Intel Xeon with AVX-512, 1
 BLAS thread), the per-image-row convolution this layout replaced → this
 one; DESIGN.md ("Inference engine") has the method and more numbers:
 
-=====  =============  =============
-grid   fp64 ms        fp32 ms
-=====  =============  =============
-8²     0.31 → 0.09    0.31 → 0.19
-16²    0.48 → 0.15    0.45 → 0.29
-32²    0.93 → 0.40    0.77 → 0.48
-64²    2.87 → 1.54    2.30 → 1.76
-128²   14.2 → 6.4     7.9 → 6.7
-=====  =============  =============
+=====  ==============
+grid   forward ms
+=====  ==============
+8²     0.31 → 0.09
+16²    0.48 → 0.15
+32²    0.93 → 0.40
+64²    2.87 → 1.54
+128²   14.2 → 6.4
+=====  ==============
 
-The dtype decides how weights and inputs are cast (weights **once** at
-plan build, inputs on the way into the arena) and which accumulation the
-conv runs.  ``float64`` sums the same products as the legacy forward in a
-different order, so its output matches to rounding
+Weights are cast to float64 **once** at plan build, inputs on the way
+into the arena.  The plan sums the same products as the legacy forward in
+a different order, so its output matches to rounding
 (``max |plan - legacy| <= 1e-12 * max(1, max |legacy|)``) rather than bit
-for bit; ``float32`` differs from fp64 by float32 rounding, and the
-caller casts the pressure back to float64 at the solver boundary.  Two
-plans of one network, shape and dtype return bitwise-identical outputs.
+for bit.  Two plans of one network and shape return bitwise-identical
+outputs.
 
 Networks containing layers outside the inference vocabulary (``Dense``,
 ``Flatten``, custom layers) raise :class:`PlanError` at build time; callers
@@ -98,7 +91,7 @@ __all__ = ["PlanError", "InferencePlan"]
 #: Most rows per conv GEMM tile; a conv's rows split into equal tiles.
 _TILE_ROWS = 4096
 
-#: Fewest output channels an fp64 conv sums inside BLAS, one ``beta=1``
+#: Fewest output channels a conv sums inside BLAS, one ``beta=1``
 #: ``dgemm`` per kernel offset.  Below it OpenBLAS's ``dgemm`` took 3.4–4.7×
 #: as long with ``beta=1`` as with ``beta=0`` (286 and 4,222 rows, 1–7
 #: outputs; level at 8 and more), so a narrower conv gathers its k² shifted
@@ -236,24 +229,22 @@ class _ConvStep(_Step):
     ``r + (pad_grid - pad + i)·S + (pad_grid - pad + j)`` under offset
     ``(i, j)``, so each offset is one contiguous slice of the source.
 
-    An fp64 conv with fewer than :data:`_BLAS_MIN_CHANNELS` outputs instead
+    A conv with fewer than :data:`_BLAS_MIN_CHANNELS` outputs instead
     gathers the k² slices into one ``(k²·C, rows)`` tile and runs one GEMM
     on it (see :data:`_BLAS_MIN_CHANNELS`).
     """
 
-    def __init__(self, conv: Conv2d, epilogue, src: _Image, dst: _Image, dtype):
+    def __init__(self, conv: Conv2d, epilogue, src: _Image, dst: _Image):
         self.kernel, self.pad = conv.kernel, conv.kernel // 2
         self.epilogue = epilogue
         self.src, self.dst = src, dst
         # weights cast ONCE at plan build, re-laid-out as one contiguous
         # (C, F) GEMM operand per kernel offset
         self.w_off = np.ascontiguousarray(
-            conv.weight.value.transpose(2, 3, 1, 0).astype(dtype)
+            conv.weight.value.transpose(2, 3, 1, 0), dtype=np.float64
         )  # (k, k, C, F)
-        self.bias = conv.bias.value.astype(dtype)
-        fp64 = np.dtype(dtype) == np.float64
-        self.blas = fp64 and dst.channels >= _BLAS_MIN_CHANNELS
-        self.gather = fp64 and not self.blas
+        self.bias = conv.bias.value.astype(np.float64)
+        self.gather = dst.channels < _BLAS_MIN_CHANNELS
 
     def _tile_rows(self) -> int:
         rows = self.dst.grid.span_rows
@@ -278,6 +269,8 @@ class _ConvStep(_Step):
             m = len(acc)
             xs = [self.src.flat[r0 + d : r0 + d + m] for d in shifts]
             tmp = scratch[: m * f].reshape(m, f)
+            # the C-order (m, F) tile is a Fortran-order (F, m) matrix c
+            c = acc.T
             gather = None
             if self.gather:
                 # the (k, k, C, m) window holds, per kernel offset (in the
@@ -293,21 +286,15 @@ class _ConvStep(_Step):
                 )
                 cols = scratch[m * f : m * f + window.size].reshape(window.shape)
                 gather = (cols, window)
-                c = acc.T
                 # b is the Fortran-order X, passed with trans_b=1
                 operands = [(self.w_off.reshape(-1, f).T, cols.reshape(-1, m).T)]
                 probe = dgemm(0.0, *operands[0], 1.0, c, 0, 1, 1)
-            elif self.blas:
-                # the C-order (m, F) tile is a Fortran-order (F, m) matrix c,
-                # and c += W.T @ X.T is acc += X @ W
-                c = acc.T
+            else:
+                # c += W.T @ X.T is acc += X @ W
                 operands = [(w.T, x.T) for w, x in zip(weights, xs)]
                 probe = dgemm(0.0, *operands[0], 1.0, c, overwrite_c=1)
-            else:
-                c = None
-                operands = list(zip(weights, xs))
             # f2py hands back a copy of a ``c`` it cannot write in place
-            if c is not None and probe is not c:
+            if probe is not c:
                 raise PlanError("dgemm would accumulate into a copy of the tile")
             self._tiles.append((acc, bias_tile[:m], c, operands, tmp, gather))
 
@@ -320,13 +307,8 @@ class _ConvStep(_Step):
                 acc += bias
             else:
                 np.copyto(acc, bias)
-                if c is not None:
-                    for wt, xt in operands:  # positional overwrite_c=1 parses faster
-                        dgemm(1.0, wt, xt, 1.0, c, 0, 0, 1)
-                else:
-                    for w, x in operands:
-                        np.matmul(x, w, out=tmp)
-                        acc += tmp
+                for wt, xt in operands:  # positional overwrite_c=1 parses faster
+                    dgemm(1.0, wt, xt, 1.0, c, 0, 0, 1)
             if self.epilogue is not None:
                 self.epilogue(acc, tmp)
         self.dst.gaps.fill(0)
@@ -419,10 +401,6 @@ class InferencePlan:
     input_shape:
         Batch-free input shape ``(C, H, W)``; :meth:`run` takes one
         ``(1, C, H, W)`` sample.
-    dtype:
-        ``np.float64`` (matches the legacy forward to rounding, BLAS-side
-        accumulation) or ``np.float32`` (half the byte traffic); weights
-        are cast once here.
 
     Attributes
     ----------
@@ -434,10 +412,7 @@ class InferencePlan:
         Total size of the workspace arena.
     """
 
-    def __init__(self, model, input_shape: tuple[int, int, int], dtype=np.float64):
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise PlanError(f"unsupported plan dtype {self.dtype}")
+    def __init__(self, model, input_shape: tuple[int, int, int]):
         input_shape = tuple(int(d) for d in input_shape)
         if len(input_shape) != 3:
             raise PlanError(f"input_shape must be (C, H, W), got {input_shape}")
@@ -445,7 +420,7 @@ class InferencePlan:
         self.runs = 0
         self.workspace_reuses = 0
 
-        with get_metrics().span("nn/plan_compile", dtype=str(self.dtype)) as sp:
+        with get_metrics().span("nn/plan_compile") as sp:
             self._grids: dict[tuple[int, int], _Grid] = {}
             self._images: list[_Image] = []
             c, h, w = input_shape
@@ -457,7 +432,7 @@ class InferencePlan:
             # the grids' pads are final now that every conv is compiled
             scratch = max((step.scratch_size() for step in self._steps), default=0)
             sizes = [im.size for im in self._images]
-            self._arena = np.zeros(sum(sizes) + scratch, dtype=self.dtype)
+            self._arena = np.zeros(sum(sizes) + scratch)
             offset = 0
             for im, size in zip(self._images, sizes):
                 im.bind(self._arena[offset : offset + size])
@@ -504,7 +479,7 @@ class InferencePlan:
                         i += 1
                 cur.grid.pad = max(cur.grid.pad, layer.kernel // 2)
                 step = _ConvStep(
-                    layer, epilogue, cur, self._image(cur.grid, layer.out_channels), self.dtype
+                    layer, epilogue, cur, self._image(cur.grid, layer.out_channels)
                 )
             elif _activation_epilogue(layer) is not None:
                 step = _ActivationStep(
@@ -573,6 +548,5 @@ class InferencePlan:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"InferencePlan({self.input_shape}, dtype={self.dtype.name}, "
-            f"steps={self.num_steps})"
+            f"InferencePlan({self.input_shape}, steps={self.num_steps})"
         )

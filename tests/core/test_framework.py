@@ -6,9 +6,12 @@ import pytest
 from repro.core import (
     ConstructionConfig,
     OfflineConfig,
+    ReferenceCache,
     SearchConfig,
     SmartFluidnet,
     UserRequirement,
+    quality_loss,
+    run_problem,
 )
 from repro.data import generate_problems
 
@@ -99,6 +102,38 @@ class TestOnlineRun:
         assert len(out) == 2
         for run, q in out:
             assert q >= 0.0
+
+    def test_unswitched_run_equals_its_start_model_bitwise(self, framework):
+        """One rung and a requirement every prediction meets: Smart neither
+        switches nor restarts, so its density, and its Qloss against PCG,
+        are the rung's own run, bit for bit."""
+        config = framework.config
+        rung = framework.runtime_models[0]
+        smart = SmartFluidnet(
+            runtime_models=[rung],
+            knn=framework.knn,
+            requirement=UserRequirement(q=1e9, t=1e9),
+            config=config,
+        )
+        steps = config.eval_steps
+        reference = ReferenceCache(steps, config.simulation)
+        for problem in generate_problems(2, 16, split="eval"):
+            # an interval of 3 puts a check inside the 10-step run
+            run = smart.run(problem, check_interval=3)
+            assert not run.restarted
+            assert run.stats.switches == []
+            assert run.stats.predictions  # the check ran and kept the rung
+            alone = run_problem(
+                rung.model.solver(passes=config.solver_passes),
+                problem,
+                steps,
+                config.simulation,
+            )
+            np.testing.assert_array_equal(run.result.density, alone.density)
+            ref = reference.reference(problem)
+            assert quality_loss(ref.density, run.result.density) == quality_loss(
+                ref.density, alone.density
+            )
 
     def test_no_mlp_mode_runs(self, framework):
         prob = generate_problems(1, 16, split="eval")[0]

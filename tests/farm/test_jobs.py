@@ -59,10 +59,11 @@ class TestCacheKey:
     #: (v2: model weights are content-addressed, not path-addressed;
     #: v3: fp64 nn inference moved from the im2col replay to shift-and-GEMM;
     #: v4: advection reads grid-point velocities exactly;
-    #: v5: fp64 nn conv products accumulate inside BLAS, bias first)
-    PINNED_DEFAULT = "9eeda50d24b92b06fc176c458c4ad00eb17057c94531e1399bbe103c180f6656"
+    #: v5: fp64 nn conv products accumulate inside BLAS, bias first;
+    #: v6: nn-pcg runs the fp64 plan, the only one left)
+    PINNED_DEFAULT = "3eb4949644821da751202402e8f890d160e1db8ddfc33a4e4111e96edb0ae9b7"
     PINNED_DEFAULT_STATE = (
-        "e80220eb6d68b792d2bacd033f5e7bcac343f7dbd0e5ac62738e7afaedd69d0e"
+        "9deef07ea2a74578d9b5dac49e2e38463564071ba27635e3101324ba3594f13f"
     )
 
     def test_hash_format_is_pinned(self):

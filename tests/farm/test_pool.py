@@ -194,6 +194,19 @@ class TestProcessBackend:
         assert report.results[0].solver_used == "pcg"
         assert report.metrics.counter("farm/degradations") == 1
 
+    @pytest.mark.parametrize("solver", ["nn", "nn-pcg"])
+    def test_precision_param_fails_the_job(self, solver):
+        """A spec that still asks for the removed fp32 plan fails loudly: it
+        never runs at another precision, and never degrades to PCG."""
+        jobs = [
+            JobSpec(job_id="fp32", grid_size=16, seed=3, steps=2,
+                    solver=solver, solver_params={"precision": "fp32"})
+        ]
+        result = SimulationFarm(workers=1, backend="process").run(jobs).results[0]
+        assert result.status == "failed"
+        assert not result.degraded
+        assert "precision" in result.error
+
     def test_nn_jobs_match_serial(self):
         # same seed -> same untrained model -> identical physics; forked
         # workers must reproduce the in-process serial results exactly

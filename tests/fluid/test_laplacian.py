@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import label
 
 from repro.fluid import MACGrid2D, build_poisson_system, poisson_rhs, stencil_arrays
+from repro.fluid.laplacian import fluid_components, remove_nullspace
 
 
 class TestBuildPoissonSystem:
@@ -109,3 +111,36 @@ class TestPoissonRhs:
         div = np.ones(g.shape)
         poisson_rhs(div, g.solid, dt=0.1, rho=1.0, dx=0.1)
         np.testing.assert_array_equal(div, 1.0)
+
+
+class TestRemoveNullspace:
+    @staticmethod
+    def recomputed(field, solid):
+        """The per-component mean removal, every count derived afresh."""
+        out = np.where(~solid, field, 0.0)
+        labels, n = label(~solid)
+        flat = labels.ravel()
+        sums = np.bincount(flat, weights=out.ravel(), minlength=n + 1)
+        counts = np.bincount(flat, minlength=n + 1)
+        means = sums / np.maximum(counts, 1)
+        means[0] = 0.0
+        return out - means[labels]
+
+    def test_several_components_match_the_recomputed_means_bitwise(self):
+        g = MACGrid2D(24, 20)
+        walls = np.zeros(g.shape, dtype=bool)
+        walls[:, 7] = walls[:, 15] = True  # three vertical strips
+        walls[9, :7] = True  # the left strip split in two
+        walls[14:19, 17:21] = True  # a closed box inside the right strip
+        walls[15:18, 18:20] = False
+        g.add_solid(walls)
+        assert fluid_components(g.solid)[1] == 5
+        rng = np.random.default_rng(4)
+        one_component = MACGrid2D(24, 20).solid
+        # the first call builds the cached entry and the second hits it; the
+        # one-component mask evicts it, so the last call builds it again
+        for solid in (g.solid, g.solid, one_component, g.solid):
+            field = rng.standard_normal(solid.shape) * 10.0 + 3.0
+            np.testing.assert_array_equal(
+                remove_nullspace(field, solid), self.recomputed(field, solid)
+            )

@@ -126,11 +126,14 @@ class TestConvergence:
         assert np.all(res.pressure == 0.0)
 
     def test_fp64_precision_also_converges(self, net):
+        """Every pyramid level runs the fp64 plan, and the solve converges."""
         solid = plume_solid(24, 4)
         b = compatible_rhs(solid, 5)
-        solver = NNPCGSolver(net, precision="fp64", metrics=MetricsRegistry())
+        solver = NNPCGSolver(net, metrics=MetricsRegistry())
         res = solver.solve(b, solid)
         assert res.converged
+        assert solver._plans
+        assert all(plan._arena.dtype == np.float64 for plan in solver._plans.values())
 
     def test_scenario_equivalence(self, net):
         """NN-PCG hits PCG's tolerance on every registered scenario's solves.
@@ -270,12 +273,15 @@ class TestValidationAndAccounting:
             {"window": -1},
             {"cycles": 0},
             {"min_level": 2},
-            {"precision": "fp16"},
         ],
     )
     def test_invalid_parameters_rejected(self, net, kwargs):
         with pytest.raises(ValueError):
             NNPCGSolver(net, **kwargs)
+
+    def test_precision_keyword_rejected(self, net):
+        with pytest.raises(TypeError, match="precision"):
+            NNPCGSolver(net, precision="fp64")
 
     def test_solve_counters(self, net):
         solid = plume_solid(24, 15)

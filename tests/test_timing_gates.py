@@ -73,11 +73,12 @@ def test_metrics_overhead_best_pair_within_5_percent():
     assert ratio <= OVERHEAD_GATE, f"metrics overhead {ratio:.3f}x (best pair)"
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+#: the plan computes in float64 only; the parameter keeps that in the test id
+@pytest.mark.parametrize("dtype", [np.float64])
 def test_inference_plan_at_least_2x_legacy_forward_at_128(dtype):
     net = tompson_arch(8).build(rng=0)
     x = np.random.default_rng(0).standard_normal((1, 2, 128, 128))
-    plan = InferencePlan(net, (2, 128, 128), dtype=dtype)
+    plan = InferencePlan(net, (2, 128, 128))
     net.forward(x, training=False)  # warm the legacy workspaces
     plan.run(x)
 

@@ -225,6 +225,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("command", ["simulate", "farm", "top"])
+    def test_no_precision_flag(self, command):
+        """NN inference has one precision, so no command takes the flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--precision", "fp64"])
+
     def test_adaptive_from_saved_framework(self, small_model, tmp_path, capsys):
         fw = TestFrameworkIO().make_framework(small_model)
         save_framework(fw, tmp_path / "fw")
