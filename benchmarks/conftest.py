@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import build_artifacts, get_scale
+from repro.experiments.common import _ARTIFACT_VERSION
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -22,11 +23,16 @@ def artifacts():
 
 @pytest.fixture()
 def report(capsys):
-    """Print a result table to the real terminal and archive it."""
+    """Print a result table to the real terminal and archive it.
+
+    The archived file's first line names the scale and the artifact version
+    it was measured at, so a figure left over from an older build shows.
+    """
 
     def emit(name: str, text: str) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        header = f"scale={get_scale().name} artifact_version={_ARTIFACT_VERSION}"
+        (RESULTS_DIR / f"{name}.txt").write_text(f"{header}\n{text}\n")
         with capsys.disabled():
             print(f"\n{text}\n")
 

@@ -18,11 +18,10 @@ def run_sweep(artifacts):
     problems = generate_problems(scale.n_problems, scale.base_grid, split="eval")
     reference = ReferenceCache(scale.n_steps)
     pcg_secs = float(np.mean([reference.reference(p).solve_seconds for p in problems]))
+    model = artifacts.framework.input_model
     rows = []
     for passes in (1, 2, 3, 4):
-        stats = evaluate_solver(
-            lambda p=passes: artifacts.tompson.solver(passes=p), problems, reference
-        )
+        stats = evaluate_solver(lambda p=passes: model.solver(passes=p), problems, reference)
         rows.append(
             (
                 passes,

@@ -13,7 +13,8 @@ def test_table2_success_by_grid(benchmark, artifacts, report):
     result = benchmark.pedantic(run_fig9_table2, args=(artifacts,), rounds=1, iterations=1)
     rows = [
         f"{r.grid_size}x{r.grid_size}: tompson {100 * r.tompson_success:.2f}%  "
-        f"smart {100 * r.smart_success:.2f}%"
+        f"smart {100 * r.smart_success:.2f}%  "
+        f"(smart switched or restarted on {r.smart_adapted}/{artifacts.scale.n_problems})"
         for r in result.rows
     ]
     report(

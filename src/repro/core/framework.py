@@ -149,6 +149,8 @@ class SmartFluidnet:
         self.records = records or []
         self.config = config or OfflineConfig()
         self.exact_seconds = exact_seconds
+        #: the trained input (Tompson) model; only :meth:`build_offline` sets it
+        self.input_model: TrainedModel | None = None
 
     # ------------------------------------------------------------------
     # offline phase
@@ -304,7 +306,7 @@ class SmartFluidnet:
             knn.add_database(name, pairs)
         log("built KNN databases")
 
-        return cls(
+        framework = cls(
             runtime_models=runtime,
             knn=knn,
             requirement=requirement,
@@ -314,6 +316,8 @@ class SmartFluidnet:
             config=cfg,
             exact_seconds=exact_seconds,
         )
+        framework.input_model = base
+        return framework
 
     # ------------------------------------------------------------------
     # online phase

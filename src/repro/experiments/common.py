@@ -32,13 +32,13 @@ from repro.core import (
     SmartFluidnet,
 )
 from repro.data import collect_training_frames, generate_problems
-from repro.models import TrainedModel, YangModel, train_model, tompson_arch
+from repro.models import TrainedModel, YangModel
 from repro.nn import Adam, DivNormLoss, Trainer
 
 __all__ = ["ExperimentScale", "Artifacts", "get_scale", "build_artifacts", "format_table"]
 
 _CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache"
-_ARTIFACT_VERSION = 9  # bump to invalidate on-disk caches
+_ARTIFACT_VERSION = 10  # bump to invalidate on-disk caches
 
 
 @dataclass
@@ -162,17 +162,21 @@ def get_scale(name: str | None = None) -> ExperimentScale:
 
 @dataclass
 class Artifacts:
-    """Everything the experiments share: framework, baselines, data."""
+    """Everything the experiments share: framework, Yang's baseline, data."""
 
     scale: ExperimentScale
     framework: SmartFluidnet
-    tompson: TrainedModel
     yang: TrainedModel
     train_data: dict[str, np.ndarray]
 
     @property
     def requirement(self):
         return self.framework.requirement
+
+    def input_model_solver(self):
+        """A fresh solver of the Tompson arm: the model Smart-fluidnet is
+        built from (the paper's baseline), at the framework's passes."""
+        return self.framework.input_model.solver(passes=self.framework.config.solver_passes)
 
 
 _MEMORY_CACHE: dict[str, Artifacts] = {}
@@ -197,21 +201,11 @@ def build_artifacts(scale: ExperimentScale | None = None, use_disk_cache: bool =
     rng = np.random.default_rng(scale.rng_seed)
     framework = SmartFluidnet.build_offline(config=scale.offline, rng=rng)
 
-    # stand-alone baselines trained on the same frames
+    # Yang's baseline, trained on the same frames as the input model
     probs = generate_problems(
         scale.offline.n_train_problems, scale.offline.grid_size, split="train"
     )
     data = collect_training_frames(probs, n_steps=scale.offline.train_steps)
-    tompson = train_model(
-        tompson_arch(),
-        data,
-        epochs=scale.offline.base_epochs,
-        rng=rng,
-        rollout_problems=probs,
-        rollout_rounds=scale.offline.rollout_rounds,
-    )
-    tompson.spec.name = "tompson"
-
     yang_net = YangModel(rng=int(rng.integers(2**31)))
     trainer = Trainer(yang_net, DivNormLoss(), Adam(yang_net.parameters(), lr=3e-3), rng=rng)
     hist = trainer.fit(
@@ -224,9 +218,7 @@ def build_artifacts(scale: ExperimentScale | None = None, use_disk_cache: bool =
     yang_spec = ArchSpec([StageSpec(kernel=3, channels=1)], name="yang")  # descriptor only
     yang = TrainedModel(spec=yang_spec, network=yang_net, history=hist)
 
-    artifacts = Artifacts(
-        scale=scale, framework=framework, tompson=tompson, yang=yang, train_data=data
-    )
+    artifacts = Artifacts(scale=scale, framework=framework, yang=yang, train_data=data)
     _MEMORY_CACHE[key] = artifacts
     if use_disk_cache:
         _CACHE_DIR.mkdir(exist_ok=True)

@@ -49,7 +49,7 @@ def run_fig1(artifacts: Artifacts | None = None, n_bins: int = 10) -> Fig1Result
     scale = art.scale
     problems = generate_problems(scale.n_problems, scale.base_grid, split="eval")
     reference = ReferenceCache(scale.n_steps)
-    stats = evaluate_solver(lambda: art.tompson.solver(passes=2), problems, reference)
+    stats = evaluate_solver(art.input_model_solver, problems, reference)
     losses = np.array([s.quality_loss for s in stats])
     edges = np.linspace(0.0, max(losses.max() * 1.05, 1e-6), n_bins + 1)
     counts, _ = np.histogram(losses, bins=edges)

@@ -63,7 +63,7 @@ def run_fig6(
     first: Fig6Result | None = None
     for problem in problems:
         ref_frames, _ = density_history(PCGSolver(), problem, scale.n_steps)
-        solver = art.tompson.solver(passes=2)
+        solver = art.input_model_solver()
         approx_frames, sim = density_history(solver, problem, scale.n_steps)
         divnorm = np.array([r.divnorm for r in sim.records])
         cdn = cum_divnorm(divnorm)

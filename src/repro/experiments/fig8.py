@@ -56,7 +56,7 @@ def run_fig8(artifacts: Artifacts | None = None) -> Fig8Result:
         problems = generate_problems(scale.n_problems, grid, split="eval")
         reference = ReferenceCache(scale.n_steps)
         pcg_secs = float(np.mean([reference.reference(p).solve_seconds for p in problems]))
-        tomp = evaluate_solver(lambda: art.tompson.solver(passes=2), problems, reference)
+        tomp = evaluate_solver(art.input_model_solver, problems, reference)
         smart = evaluate_adaptive(art.framework, problems, reference)
         t_mean = float(np.mean([s.solve_seconds for s in tomp]))
         s_mean = float(np.mean([s.solve_seconds for s in smart]))

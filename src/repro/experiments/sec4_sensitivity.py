@@ -64,31 +64,31 @@ class SensitivityResult:
         return "\n\n".join(parts)
 
 
-def _mean_qloss(model: TrainedModel, problems, reference, passes=2) -> float:
-    stats = evaluate_solver(lambda: model.solver(passes=passes), problems, reference)
-    return float(np.mean([s.quality_loss for s in stats]))
-
-
 def run_sec4_sensitivity(artifacts: Artifacts | None = None) -> SensitivityResult:
     """Regenerate the Section 4 sensitivity sweeps at reduced scale."""
     art = artifacts or build_artifacts()
     scale = art.scale
     data = art.train_data
-    base = art.tompson
+    base = art.framework.input_model
     rng = np.random.default_rng(11)
     problems = generate_problems(max(2, scale.n_problems // 2), scale.base_grid, split="eval")
     reference = ReferenceCache(scale.n_steps)
     tune = dict(epochs=art.scale.offline.construction.fine_tune_epochs, rng=rng)
+    passes = art.framework.config.solver_passes
 
     def tuned(model: TrainedModel) -> TrainedModel:
         return train_model(model.spec, data, network=model.network, **tune)
 
+    def mean_qloss(model: TrainedModel) -> float:
+        stats = evaluate_solver(lambda: model.solver(passes=passes), problems, reference)
+        return float(np.mean([s.quality_loss for s in stats]))
+
     # (1) pruning depth: 1 vs 2 deleted stages
     prune_depth = {}
     one = tuned(shallow(base, stage=2, rng=rng))
-    prune_depth[1] = _mean_qloss(one, problems, reference)
+    prune_depth[1] = mean_qloss(one)
     two = tuned(shallow(one, stage=1, rng=rng))
-    prune_depth[2] = _mean_qloss(two, problems, reference)
+    prune_depth[2] = mean_qloss(two)
 
     # (2) pooling amount: 1, 2, 3 pooled stages
     pool_stages = {}
@@ -96,13 +96,13 @@ def run_sec4_sensitivity(artifacts: Artifacts | None = None) -> SensitivityResul
     for n_pooled in (1, 2, 3):
         unpooled = [i for i, s in enumerate(cur.spec.stages) if s.pool == 1]
         cur = tuned(pooling(cur, stage=int(rng.choice(unpooled)), rng=rng))
-        pool_stages[n_pooled] = _mean_qloss(cur, problems, reference)
+        pool_stages[n_pooled] = mean_qloss(cur)
 
     # (3) dropout rate
     dropout_rate = {}
     for p in (0.05, 0.10, 0.15):
         model = tuned(dropout(base, stage=2, p=p, rng=rng))
-        dropout_rate[p] = _mean_qloss(model, problems, reference)
+        dropout_rate[p] = mean_qloss(model)
 
     # (4) number of dropout models: family size bookkeeping (cheap: no tuning)
     from repro.core import ConstructionConfig, construct_model_family

@@ -73,8 +73,8 @@ def run_table1(artifacts: Artifacts | None = None) -> Table1Result:
     # the same solver Fig. 8, the exact arm and the restart path run
     factories = {
         "pcg": PCGSolver,
-        "tompson": lambda: art.tompson.solver(passes=2),
-        "yang": lambda: art.yang.solver(passes=2),
+        "tompson": art.input_model_solver,
+        "yang": lambda: art.yang.solver(passes=art.framework.config.solver_passes),
     }
     round_ms: dict[str, list[float]] = {name: [] for name in factories}
     quality: dict[str, float] = {}

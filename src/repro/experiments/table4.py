@@ -69,7 +69,7 @@ def run_table4(artifacts: Artifacts | None = None) -> Table4Result:
     )
 
     shape = (grid_size, grid_size)
-    tomp_usage = art.tompson.solver(passes=art.framework.config.solver_passes).resource_usage(shape)
+    tomp_usage = art.input_model_solver().resource_usage(shape)
     tomp_row = Table4Row("tompson", tomp_usage.mflops, tomp_usage.memory_mb)
 
     # Smart: FLOPs weighted by the runtime models' observed usage; memory is

@@ -15,7 +15,9 @@ through one of two backends:
 
 ``serial``
     Jobs run inline one after another — the in-process reference the
-    farm tests compare the process backend against.
+    farm tests compare the process backend against.  A job that raises
+    out of :func:`~repro.farm.worker.run_job` ends ``failed`` here too,
+    and the batch runs on.
 
 :class:`Pool` is the one child supervisor: it runs the process backend's
 batches and, long-lived and resizable, the serve tier.
@@ -148,14 +150,22 @@ def _process_worker_entry(
             cancel=cancel,
         )
     except BaseException as exc:  # harness-level error: report, don't hang the farm
-        result = JobResult(
-            job_id=spec.job_id,
-            status="failed",
-            retries=attempt,
-            error=f"{type(exc).__name__}: {exc}",
-            metrics=m.to_dict(),
-        )
+        result = _failed_result(spec, exc, m, attempt)
     send(("result", spec.job_id, attempt, result.to_dict()))
+
+
+def _failed_result(
+    spec: JobSpec, exc: BaseException, m: MetricsRegistry, attempt: int = 0
+) -> JobResult:
+    """One ``failed`` result for a job that raised out of :func:`run_job`,
+    e.g. because its solver could not be built."""
+    return JobResult(
+        job_id=spec.job_id,
+        status="failed",
+        retries=attempt,
+        error=f"{type(exc).__name__}: {exc}",
+        metrics=m.to_dict(),
+    )
 
 
 def _pool_child_main(*args) -> None:
@@ -297,17 +307,18 @@ class SimulationFarm:
             m = MetricsRegistry()
             previous = set_metrics(m)
             try:
-                results.append(
-                    run_job(
-                        spec,
-                        ckpt_dir,
-                        metrics=m,
-                        on_event=self._dispatch_event,
-                        heartbeat_seconds=self.heartbeat_seconds,
-                    )
+                result = run_job(
+                    spec,
+                    ckpt_dir,
+                    metrics=m,
+                    on_event=self._dispatch_event,
+                    heartbeat_seconds=self.heartbeat_seconds,
                 )
+            except Exception as exc:  # fail this job, as a pool child would
+                result = _failed_result(spec, exc, m)
             finally:
                 set_metrics(previous)
+            results.append(result)
         for r in results:
             self.metrics.merge(r.metrics)
         self.metrics.inc("farm/jobs", len(results))

@@ -67,6 +67,12 @@ class TestOfflineBuild:
         names = {r.model_name for r in framework.records}
         assert "tompson" in names
 
+    def test_input_model_is_kept(self, framework):
+        """The experiments' Tompson arm: the model the family grew from."""
+        base = framework.input_model
+        assert base.name == "tompson"
+        assert base.name in {r.model_name for r in framework.records}
+
     def test_exact_seconds_positive(self, framework):
         assert framework.exact_seconds > 0
 
@@ -149,7 +155,9 @@ class TestOnlineRun:
             rng=2,
         )
         prob = generate_problems(1, 16, split="eval")[0]
-        run = sf.run(prob)
-        if run.restarted:  # KNN may legitimately predict success on tiny dbs
-            assert len(run.result.records) == sf.config.eval_steps
-            assert run.result.records[-1].projection.solver_name == "pcg"
+        # an interval of 3 puts a check inside the 10-step run (at step 7)
+        run = sf.run(prob, check_interval=3)
+        assert run.restarted
+        assert run.stats.predictions
+        assert len(run.result.records) == sf.config.eval_steps
+        assert run.result.records[-1].projection.solver_name == "pcg"

@@ -1,8 +1,12 @@
 """Structural tests of every experiment module at micro scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import QlossKNNPredictor, SelectedModel, SmartFluidnet, UserRequirement
+from repro.data import generate_problems
 from repro.experiments import (
     run_fig1,
     run_fig3,
@@ -94,7 +98,33 @@ class TestFig9Table2:
             assert row.smart.q1 <= row.smart.median <= row.smart.q3
             assert 0.0 <= row.tompson_success <= 1.0
             assert 0.0 <= row.smart_success <= 1.0
+            assert 0 <= row.smart_adapted <= micro_artifacts.scale.n_problems
         assert result.requirement_q == micro_artifacts.requirement.q
+
+    def test_unadapted_smart_equals_its_input_model_bitwise(self, micro_artifacts):
+        """The Tompson arm is the framework's input model: with a ladder of
+        that model alone and a requirement every check meets, Smart neither
+        switches nor restarts, and Fig. 9 and Table 2 report it equal to
+        the Tompson arm, bit for bit."""
+        fw = micro_artifacts.framework
+        model = fw.input_model
+        knn = QlossKNNPredictor(k=1)
+        knn.add_database(model.name, [(0.0, 0.0)])  # every check predicts Qloss 0
+        one_rung = SmartFluidnet(
+            runtime_models=[SelectedModel(model, 1.0, 1.0, 1.0)],
+            knn=knn,
+            requirement=UserRequirement(q=1e9, t=1e9),
+            config=fw.config,
+        )
+        one_rung.input_model = model
+        problem = generate_problems(1, 16, split="eval")[0]
+        assert len(one_rung.run(problem).stats.predictions) == 2  # checks at steps 5 and 8
+        result = run_fig9_table2(replace(micro_artifacts, framework=one_rung))
+        assert result.rows
+        for row in result.rows:
+            assert row.smart_adapted == 0
+            assert row.smart == row.tompson
+            assert row.smart_success == row.tompson_success
 
 
 class TestFig10_11Table3:

@@ -42,6 +42,21 @@ class TestSerialBackend:
         with pytest.raises(ValueError, match="backend"):
             SimulationFarm(backend="gpu")
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_unbuildable_solver_fails_only_its_job(self, backend):
+        """A job whose solver cannot be built ends as one failed result; the
+        rest of the batch still runs."""
+        bad = JobSpec(job_id="bad", grid_size=16, seed=3, steps=2,
+                      solver="nn", solver_params={"precision": "fp32"})
+        report = SimulationFarm(workers=1, backend=backend).run([bad] + make_jobs(1))
+        assert [r.job_id for r in report.results] == ["bad", "job-0"]
+        failed, good = report.results
+        assert failed.status == "failed" and not failed.degraded
+        assert failed.error.startswith("TypeError") and "precision" in failed.error
+        assert good.ok and good.steps_done == 3
+        assert report.metrics.counter("farm/jobs") == 2
+        assert report.metrics.counter("farm/jobs_failed") == 1
+
     def test_spans_without_a_registry_land_in_the_job_profile(self):
         """``kernels/build`` opens on the process default registry; a serial
         job installs its own there, as a pool child does, and restores the

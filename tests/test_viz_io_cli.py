@@ -117,6 +117,7 @@ class TestFrameworkIO:
         assert sel.success_prob == 0.9
         assert loaded.knn.database_size(sel.name) == 2
         assert loaded.knn.predict(sel.name, 1.4) == pytest.approx(0.15)
+        assert loaded.input_model is None  # only build_offline sets it
 
     def test_loaded_framework_runs(self, small_model, tmp_path):
         from repro.data import InputProblem
