@@ -16,8 +16,8 @@ supported entry points and keep working across refactors.
   :func:`register_scenario` (smoke plume, inflow jets, moving solids,
   free-surface liquids);
 * solvers — :class:`PressureSolver` (the protocol), :class:`PCGSolver`,
-  :class:`JacobiSolver`, :class:`MultigridSolver`, :class:`SpectralSolver`,
-  :class:`NNProjectionSolver`, :class:`SolveResult`;
+  :class:`MultigridSolver`, :class:`NNProjectionSolver`,
+  :class:`SolveResult`;
 * the framework — :class:`SmartFluidnet`, :class:`UserRequirement`,
   :class:`OfflineConfig`;
 * observability — the :mod:`repro.metrics` runtime-metrics module
@@ -34,7 +34,7 @@ Subpackages
 ``repro.fluid``
     The mantaflow-equivalent substrate: 2-D MAC-grid smoke simulation with
     semi-Lagrangian advection, buoyancy and PCG/MICCG(0) pressure
-    projection (plus Jacobi and multigrid solvers).
+    projection (plus multigrid and NN-preconditioned CG solvers).
 ``repro.nn``
     A from-scratch NumPy neural-network framework (conv / pool / unpool /
     dense / dropout / residual, backprop, Adam, DivNorm loss, FLOP
@@ -71,7 +71,6 @@ from .trace import Tracer, get_tracer
 from .core import OfflineConfig, SmartFluidnet, UserRequirement
 from .fluid import (
     FluidSimulator,
-    JacobiSolver,
     MultigridSolver,
     PCGSolver,
     PressureSolver,
@@ -79,7 +78,6 @@ from .fluid import (
     SimulationConfig,
     SimulationResult,
     SolveResult,
-    SpectralSolver,
     build_scenario,
     list_scenarios,
     parse_scenario,
@@ -109,9 +107,7 @@ __all__ = [
     "PressureSolver",
     "SolveResult",
     "PCGSolver",
-    "JacobiSolver",
     "MultigridSolver",
-    "SpectralSolver",
     "NNProjectionSolver",
     # execution farm
     "JobSpec",

@@ -55,8 +55,17 @@ _EXPERIMENTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.farm.jobs import SOLVER_CHOICES
+
     # shared options: every problem-running command takes the same
     # --grid/--seed (and, where stepping, --steps) arguments
     problem = argparse.ArgumentParser(add_help=False)
@@ -70,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "override --grid",
     )
     stepping = argparse.ArgumentParser(add_help=False)
-    stepping.add_argument("--steps", type=int, default=16, help="simulation steps")
+    stepping.add_argument("--steps", type=_positive_int, default=16, help="simulation steps")
     tracing = argparse.ArgumentParser(add_help=False)
     tracing.add_argument(
         "--trace", type=str, default=None, metavar="PATH",
@@ -89,19 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[problem, scenario, stepping, tracing],
         help="run one scenario (default: the smoke-plume input problem)",
     )
-    sim.add_argument(
-        "--solver",
-        choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
-        default="pcg",
-    )
+    sim.add_argument("--solver", choices=SOLVER_CHOICES, default="pcg")
     sim.add_argument(
         "--model", type=str, default=None, metavar="DIR",
         help="trained-model directory (repro.io.save_model layout) for the "
         "nn/nn-pcg solvers; default: seeded untrained Tompson network",
-    )
-    sim.add_argument(
-        "--warm-start", action="store_true",
-        help="warm-start PCG from the previous step's pressure",
     )
     sim.add_argument("--ascii", action="store_true", help="print an ASCII rendering")
     sim.add_argument("--pgm", type=str, default=None, help="save the final frame as PGM")
@@ -145,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_farm_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=8, help="number of jobs in the fleet")
         p.add_argument(
-            "--solver",
-            choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
-            default="pcg", help="pressure solver every job requests",
+            "--solver", choices=SOLVER_CHOICES, default="pcg",
+            help="pressure solver every job requests",
         )
         p.add_argument(
             "--model", type=str, default=None, metavar="DIR",
@@ -251,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", type=str, default="repro-serve.sock",
         help="unix socket path of the running service",
     )
-    sbm.add_argument(
-        "--solver",
-        choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
-        default="pcg",
-    )
+    sbm.add_argument("--solver", choices=SOLVER_CHOICES, default="pcg")
     sbm.add_argument(
         "--model", type=str, default=None, metavar="DIR",
         help="trained-model directory for nn/nn-pcg jobs",
@@ -352,60 +348,23 @@ def _step_dict(rec) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.fluid import (
-        FluidSimulator,
-        JacobiSolver,
-        MultigridSolver,
-        PCGSolver,
-        SimulationConfig,
-        SpectralSolver,
-        build_scenario,
-        parse_scenario,
-    )
+    from repro.farm import JobSpec, build_simulation
     from repro.metrics import MetricsRegistry, set_metrics
     from repro import viz
 
     metrics = MetricsRegistry()
-
-    def network():
-        if args.model is not None:
-            from repro.io import load_model
-
-            return load_model(args.model).network
-        from repro.models import tompson_arch
-
-        return tompson_arch(4).build(rng=args.seed)
-
-    def nn_solver():
-        from repro.models import NNProjectionSolver
-
-        return NNProjectionSolver(network(), passes=2, metrics=metrics)
-
-    def nn_pcg_solver():
-        from repro.fluid import NNPCGSolver
-
-        return NNPCGSolver(network(), metrics=metrics)
-
-    solver = {
-        "pcg": lambda: PCGSolver(warm_start=args.warm_start, metrics=metrics),
-        "jacobi-pcg": lambda: PCGSolver(
-            preconditioner="jacobi", warm_start=args.warm_start, metrics=metrics
-        ),
-        "jacobi": lambda: JacobiSolver(metrics=metrics),
-        "multigrid": lambda: MultigridSolver(metrics=metrics),
-        "spectral": lambda: SpectralSolver(
-            metrics=metrics,
-            fallback=PCGSolver(metrics=metrics),
-        ),
-        "nn": nn_solver,
-        "nn-pcg": nn_pcg_solver,
-    }[args.solver]()
-    sspec = parse_scenario(args.scenario).with_defaults(grid=args.grid)
-    grid, driver = build_scenario(sspec, rng=args.seed)
-    solver = driver.wrap_solver(solver)
-    overrides = getattr(driver, "config_overrides", {})
-    config = SimulationConfig(**overrides) if overrides else None
-    sim = FluidSimulator(grid, solver, driver, config=config, metrics=metrics)
+    spec = JobSpec(
+        job_id="simulate",
+        grid_size=args.grid,
+        seed=args.seed,
+        scenario=args.scenario,
+        steps=args.steps,
+        solver=args.solver,
+        model_dir=args.model,
+    )
+    sim = build_simulation(spec, spec.solver, metrics)
+    grid = sim.grid
+    sspec = spec.scenario_spec.with_defaults(grid=spec.grid_size)
     t0 = time.perf_counter()
     previous = set_metrics(metrics)  # kernel builds and plan compiles too
     try:
@@ -425,7 +384,6 @@ def _cmd_simulate(args) -> int:
                         "steps": args.steps,
                         "scenario": sspec.to_string(),
                         "solver": args.solver,
-                        "warm_start": args.warm_start,
                     },
                     "total_seconds": dt,
                     "solve_seconds": result.solve_seconds,
@@ -576,7 +534,6 @@ def _build_farm_specs(args) -> list:
     grid_size = int(sspec.get("grid", args.grid))
     problems = generate_problems(args.jobs, grid_size)
     fail_step = max(1, args.steps // 2)
-    model_dir = args.model if args.solver in ("nn", "nn-pcg") else None
     return [
         JobSpec(
             job_id=f"job-{i:03d}",
@@ -585,7 +542,7 @@ def _build_farm_specs(args) -> list:
             scenario=sspec.to_string(),
             steps=args.steps,
             solver=args.solver,
-            model_dir=model_dir,
+            model_dir=args.model,
             checkpoint_every=args.checkpoint_every,
             timeout_seconds=args.timeout,
             max_retries=args.retries,
@@ -776,7 +733,7 @@ def _cmd_submit(args) -> int:
         scenario=sspec.to_string(),
         steps=args.steps,
         solver=args.solver,
-        model_dir=args.model if args.solver in ("nn", "nn-pcg") else None,
+        model_dir=args.model,
     )
 
     async def run() -> int:

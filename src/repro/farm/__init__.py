@@ -12,7 +12,13 @@ from .checkpoint import load_checkpoint, save_checkpoint, sweep_orphans
 from .jobs import JobResult, JobSpec, SOLVER_CHOICES
 from .pool import BACKENDS, FarmReport, Pool, SimulationFarm
 from .telemetry import FleetView, JobView, LiveRenderer, render_fleet
-from .worker import InjectedWorkerFailure, SimulationDiverged, build_solver, run_job
+from .worker import (
+    InjectedWorkerFailure,
+    SimulationDiverged,
+    build_simulation,
+    build_solver,
+    run_job,
+)
 
 __all__ = [
     "JobSpec",
@@ -24,6 +30,7 @@ __all__ = [
     "BACKENDS",
     "sweep_orphans",
     "run_job",
+    "build_simulation",
     "build_solver",
     "InjectedWorkerFailure",
     "SimulationDiverged",

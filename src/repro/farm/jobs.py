@@ -40,7 +40,7 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 CACHE_KEY_VERSION = 6
 
 #: solver identifiers a JobSpec may request
-SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")
+SOLVER_CHOICES = ("pcg", "multigrid", "nn", "nn-pcg")
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,10 @@ import numpy as np
 
 from repro.fluid import (
     FluidSimulator,
-    JacobiSolver,
     MultigridSolver,
     PCGSolver,
     SimulationConfig,
-    SpectralSolver,
     build_scenario,
-    parse_scenario,
 )
 from repro.metrics import MetricsRegistry
 from repro.trace import get_tracer
@@ -49,6 +46,7 @@ from .jobs import JobResult, JobSpec
 __all__ = [
     "InjectedWorkerFailure",
     "SimulationDiverged",
+    "build_simulation",
     "build_solver",
     "run_job",
 ]
@@ -66,6 +64,20 @@ class SimulationDiverged(RuntimeError):
     """The run violated its quality requirement (DivNorm guard)."""
 
 
+def _network(spec: JobSpec, params: dict):
+    """The job's network: its saved model, or a seeded untrained Tompson net.
+
+    Pops ``channels`` (the untrained net's width) from ``params``.
+    """
+    if spec.model_dir is not None:
+        from repro.io import load_model
+
+        return load_model(spec.model_dir).network
+    from repro.models import tompson_arch
+
+    return tompson_arch(params.pop("channels", 4)).build(rng=spec.seed)
+
+
 def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
     """Construct the pressure solver ``kind`` for a job.
 
@@ -76,42 +88,34 @@ def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
     params = dict(spec.solver_params) if kind == spec.solver else {}
     if kind == "pcg":
         return PCGSolver(metrics=metrics, **params)
-    if kind == "jacobi-pcg":
-        return PCGSolver(preconditioner="jacobi", metrics=metrics, **params)
-    if kind == "jacobi":
-        return JacobiSolver(metrics=metrics, **params)
     if kind == "multigrid":
         return MultigridSolver(metrics=metrics, **params)
-    if kind == "spectral":
-        return SpectralSolver(metrics=metrics, **params)
     if kind == "nn":
         from repro.models import NNProjectionSolver
 
         passes = params.pop("passes", 2)
-        if spec.model_dir is not None:
-            from repro.io import load_model
-
-            model = load_model(spec.model_dir).network
-        else:
-            from repro.models import tompson_arch
-
-            channels = params.pop("channels", 4)
-            model = tompson_arch(channels).build(rng=spec.seed)
-        return NNProjectionSolver(model, passes=passes, metrics=metrics, **params)
+        network = _network(spec, params)
+        return NNProjectionSolver(network, passes=passes, metrics=metrics, **params)
     if kind == "nn-pcg":
         from repro.fluid import NNPCGSolver
 
-        if spec.model_dir is not None:
-            from repro.io import load_model
-
-            model = load_model(spec.model_dir).network
-        else:
-            from repro.models import tompson_arch
-
-            channels = params.pop("channels", 4)
-            model = tompson_arch(channels).build(rng=spec.seed)
-        return NNPCGSolver(model, metrics=metrics, **params)
+        network = _network(spec, params)
+        return NNPCGSolver(network, metrics=metrics, **params)
     raise ValueError(f"unknown solver kind {kind!r}")
+
+
+def build_simulation(spec: JobSpec, kind: str, metrics: MetricsRegistry) -> FluidSimulator:
+    """The job's simulator: its scenario stepped by solver ``kind``.
+
+    The one construction path of a simulation run: every farm and serve
+    job and ``repro simulate`` build theirs here.
+    """
+    sspec = spec.scenario_spec.with_defaults(grid=spec.grid_size)
+    grid, driver = build_scenario(sspec, rng=spec.seed)
+    solver = driver.wrap_solver(build_solver(spec, kind, metrics))
+    overrides = getattr(driver, "config_overrides", {})
+    config = SimulationConfig(**overrides) if overrides else None
+    return FluidSimulator(grid, solver, driver, config=config, metrics=metrics)
 
 
 def _checkpoint_path(spec: JobSpec, checkpoint_dir: str | Path | None) -> Path | None:
@@ -170,17 +174,9 @@ def run_job(
             event.update(attrs)
             on_event(event)
 
-    def make_sim(kind: str) -> FluidSimulator:
-        sspec = parse_scenario(spec.scenario).with_defaults(grid=spec.grid_size)
-        grid, driver = build_scenario(sspec, rng=spec.seed)
-        solver = driver.wrap_solver(build_solver(spec, kind, m))
-        overrides = getattr(driver, "config_overrides", {})
-        config = SimulationConfig(**overrides) if overrides else None
-        return FluidSimulator(grid, solver, driver, config=config, metrics=m)
-
     solver_kind = spec.solver
     with m.span("job", job_id=spec.job_id, attempt=attempt) as job_span:
-        sim = make_sim(solver_kind)
+        sim = build_simulation(spec, solver_kind, m)
         resumed_from: int | None = None
         if ckpt is not None:
             # a previous attempt hard-killed mid-write leaves a torn
@@ -273,7 +269,7 @@ def run_job(
                     reason=f"{type(exc).__name__}: {exc}",
                     solver=solver_kind,
                 )
-                sim = make_sim(solver_kind)
+                sim = build_simulation(spec, solver_kind, m)
                 if ckpt is not None and ckpt.exists():
                     sim.load_state(load_checkpoint(ckpt))
                     resumed_from = sim.current_step

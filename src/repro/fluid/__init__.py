@@ -2,8 +2,8 @@
 
 A NumPy/SciPy 2-D MAC-grid smoke simulator implementing the paper's
 Algorithm 1: semi-Lagrangian advection, buoyancy, and pressure projection via
-PCG with the MIC(0) preconditioner (plus Jacobi and geometric multigrid
-alternatives).  The MIC(0) sweeps run in a small C kernel (``mic0.c``),
+PCG with the MIC(0) preconditioner (plus geometric multigrid and the
+NN-preconditioned CG).  The MIC(0) sweeps run in a small C kernel (``mic0.c``),
 compiled on first use, with a bitwise-equal SciPy fallback.
 """
 
@@ -11,10 +11,9 @@ from .grid import CellType, MACGrid2D
 from .operators import divergence, pressure_gradient_update, apply_laplacian
 from .laplacian import PoissonSystem, build_poisson_system, stencil_arrays, poisson_rhs
 from .solver_api import MaskKeyedCache
-from .kernels import GeometryKernels, MICTriangularFactor, spectral_eligible
-from .pcg import JacobiSolver, MIC0Preconditioner, PCGSolver, SolveResult
+from .kernels import GeometryKernels, MICTriangularFactor
+from .pcg import MIC0Preconditioner, PCGSolver, SolveResult
 from .nn_pcg import NNPCGSolver
-from .spectral import SpectralSolver
 from .multigrid import MultigridSolver, build_hierarchy, vcycle
 from .advection import advect_scalar, advect_velocity, maccormack_scalar
 from .forces import add_buoyancy, add_gravity, add_vorticity_confinement
@@ -72,13 +71,10 @@ __all__ = [
     "MaskKeyedCache",
     "GeometryKernels",
     "MICTriangularFactor",
-    "spectral_eligible",
     "MIC0Preconditioner",
     "PCGSolver",
     "NNPCGSolver",
-    "JacobiSolver",
     "SolveResult",
-    "SpectralSolver",
     "MultigridSolver",
     "build_hierarchy",
     "vcycle",

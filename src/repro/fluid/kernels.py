@@ -36,10 +36,6 @@ library must belong to the user and be writable by no one else, or they are
 not loaded.  Without a working ``cc``, or with such a cache, it logs one
 warning and the sweeps run in SciPy's SuperLU triangular solves, which
 subtract in the same order and return the same bits.
-
-:func:`spectral_eligible` classifies masks that are a pure closed box (border
-wall, no interior solids), the geometry class the DCT-based
-:class:`~repro.fluid.spectral.SpectralSolver` can solve directly.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ try:  # pragma: no cover - exercised via the fallback test
 except ImportError:  # pragma: no cover
     _superlu = None
 
-__all__ = ["GeometryKernels", "MICTriangularFactor", "spectral_eligible"]
+__all__ = ["GeometryKernels", "MICTriangularFactor"]
 
 _log = logging.getLogger(__name__)
 
@@ -167,24 +163,6 @@ def _native_mic0():
     return _mic0 or None
 
 
-def spectral_eligible(solid: np.ndarray) -> bool:
-    """True iff the mask is a closed box: one-cell border wall, fluid interior.
-
-    This is the geometry class the DCT spectral solver handles exactly; any
-    interior obstacle (or missing wall) requires the general PCG machinery.
-    """
-    ny, nx = solid.shape
-    if ny < 3 or nx < 3:
-        return False
-    border = (
-        bool(solid[0, :].all())
-        and bool(solid[-1, :].all())
-        and bool(solid[:, 0].all())
-        and bool(solid[:, -1].all())
-    )
-    return border and not bool(solid[1:-1, 1:-1].any())
-
-
 def _intc(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.intc)
 
@@ -249,7 +227,6 @@ class GeometryKernels:
             (vals[keep], cols[keep], indptr), shape=(self.n, self.n)
         )
 
-        self._inv_degree: np.ndarray | None = None
         self._mic_factor: MICTriangularFactor | None = None
         self._mic_factor_src: object | None = None
 
@@ -266,14 +243,6 @@ class GeometryKernels:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``A @ v`` on flat fluid vectors (bitwise == ``apply_laplacian``)."""
         return self.laplacian @ v
-
-    @property
-    def inv_degree(self) -> np.ndarray:
-        """Flat inverse stencil diagonal (Jacobi preconditioner/sweep term)."""
-        if self._inv_degree is None:
-            deg = self.degree[self.ys, self.xs]
-            self._inv_degree = np.where(deg > 0, 1.0 / np.maximum(deg, 1e-30), 0.0)
-        return self._inv_degree
 
     def mic_factor(self, mic) -> "MICTriangularFactor":
         """Sparse triangular factor of a :class:`MIC0Preconditioner`, memoised.

@@ -16,11 +16,9 @@ Runtime caching: :class:`PCGSolver` keeps the MIC(0) factorisation (which
 embeds the wavefront schedule) and the compiled geometry kernels in
 :class:`~repro.fluid.solver_api.MaskKeyedCache`\\ s keyed on the solid mask,
 so consecutive solves on the same geometry — the common case inside a
-simulation — skip the setup entirely.  With ``warm_start=True`` the solver
-additionally seeds CG with the previous step's pressure, which typically
-saves iterations because consecutive pressure fields are strongly
-correlated; it is off by default so results on identical inputs are
-bit-for-bit reproducible regardless of solver history.
+simulation — skip the setup entirely.  Every solve starts CG from zero, so
+results on identical inputs are bit-for-bit reproducible regardless of
+solver history.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "SolveResult",
     "MIC0Preconditioner",
     "PCGSolver",
-    "JacobiSolver",
 ]
 
 
@@ -144,10 +141,6 @@ class PCGSolver(PressureSolver):
         Iteration cap; the solver reports non-convergence beyond it.
     preconditioner:
         ``"mic0"`` (default), ``"jacobi"`` or ``"none"``.
-    warm_start:
-        Seed CG with the previous solve's pressure when the geometry is
-        unchanged.  Converges to the same tolerance in (typically) fewer
-        iterations; off by default for history-independent results.
     metrics:
         Registry receiving solver counters and spans; defaults to the
         process-wide registry.
@@ -160,7 +153,6 @@ class PCGSolver(PressureSolver):
         tol: float = 1e-5,
         max_iterations: int = 2000,
         preconditioner: str = "mic0",
-        warm_start: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         if preconditioner not in ("mic0", "jacobi", "none"):
@@ -168,47 +160,16 @@ class PCGSolver(PressureSolver):
         self.tol = tol
         self.max_iterations = max_iterations
         self.preconditioner = preconditioner
-        self.warm_start = warm_start
         self._metrics = metrics
         self._mic_cache = MaskKeyedCache("mic0")
         self._jacobi_cache = MaskKeyedCache("jacobi_diag")
         self._kernels_cache = MaskKeyedCache("kernels")
-        self._prev_pressure: np.ndarray | None = None
-        self._prev_key: tuple | None = None
 
     def reset(self) -> None:
-        """Drop the cached factorisation, kernels and the warm-start seed."""
+        """Drop the cached factorisation and kernels."""
         self._mic_cache.clear()
         self._jacobi_cache.clear()
         self._kernels_cache.clear()
-        self._prev_pressure = None
-        self._prev_key = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Warm-start state as checkpointable arrays (empty when cold).
-
-        The warm-start seed is *simulation state*, not a cache: a resumed
-        run whose solver lost it would seed the next solve differently and
-        diverge bit-for-bit from the uninterrupted trajectory.
-        :meth:`repro.fluid.FluidSimulator.save_state` persists these under
-        ``solver/`` keys; geometry caches still rebuild on resume.
-        """
-        if self._prev_pressure is None or self._prev_key is None:
-            return {}
-        shape, raw = self._prev_key
-        return {
-            "prev_pressure": self._prev_pressure.copy(),
-            "prev_solid": np.frombuffer(raw, dtype=np.bool_).reshape(shape).copy(),
-        }
-
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the warm-start seed saved by :meth:`state_arrays`."""
-        if "prev_pressure" not in state:
-            return
-        self._prev_pressure = np.asarray(state["prev_pressure"], dtype=np.float64).copy()
-        self._prev_key = MaskKeyedCache.key_of(
-            np.asarray(state["prev_solid"], dtype=np.bool_)
-        )
 
     @staticmethod
     def _jacobi_inverse(solid: np.ndarray) -> np.ndarray:
@@ -257,7 +218,6 @@ class PCGSolver(PressureSolver):
         # compatibility projection: remove the per-component null space
         b = remove_nullspace(b, solid)
 
-        geo_key = MaskKeyedCache.key_of(solid)
         bf = kern.gather(b)
         pf = np.zeros(nf)
         rf = bf.copy()
@@ -267,15 +227,9 @@ class PCGSolver(PressureSolver):
             return SolveResult(np.zeros_like(b), 0, True, 0.0, 0.0, history)
         tol_abs = self.tol * bnorm
 
-        if self.warm_start and self._prev_pressure is not None and self._prev_key == geo_key:
-            pf = kern.gather(self._prev_pressure)
-            rf = bf - kern.matvec(pf)
-            metrics.inc(f"solver/{self.name}/warm_starts")
-
-        rnorm = float(np.abs(rf).max())
         flops = 0.0
         it = 0
-        converged = rnorm <= tol_abs  # a warm start may already satisfy tol
+        converged = bnorm <= tol_abs
         if not converged:
             zf = apply_m(rf)
             sf = zf.copy()
@@ -301,71 +255,5 @@ class PCGSolver(PressureSolver):
                 sigma = sigma_new
 
         p = remove_nullspace(kern.scatter(pf), solid)
-        if self.warm_start:
-            self._prev_pressure = p.copy()
-            self._prev_key = geo_key
         rnorm = float(np.abs(rf).max())
         return SolveResult(p, it, converged, rnorm, flops, history)
-
-
-class JacobiSolver(PressureSolver):
-    """Weighted-Jacobi iteration on the Poisson system (cheap baseline).
-
-    Conforms to the :class:`~repro.fluid.solver_api.PressureSolver`
-    protocol.  Sweeps run on flat fluid vectors through the cached
-    :class:`~repro.fluid.kernels.GeometryKernels` (CSR matvec + the compiled
-    degree field), with all geometry invariants hoisted out of the loop.
-    """
-
-    name = "jacobi"
-
-    def __init__(
-        self,
-        iterations: int = 200,
-        tol: float = 0.0,
-        omega: float = 0.8,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.iterations = iterations
-        self.tol = tol
-        self.omega = omega
-        self._metrics = metrics
-        self._kernels_cache = MaskKeyedCache("kernels")
-
-    def reset(self) -> None:
-        """Drop the cached geometry kernels."""
-        self._kernels_cache.clear()
-
-    def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
-        """Run (damped) Jacobi sweeps; converged only if ``tol`` was hit."""
-        metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.span(f"solve/{self.name}"):
-            kern: GeometryKernels = self._kernels_cache.get(
-                solid, lambda: GeometryKernels(solid), metrics
-            )
-            nf = kern.n
-            bf = kern.gather(b)
-            winv = self.omega * kern.inv_degree
-            pf = np.zeros(nf)
-            it = 0
-            rnorm = float(np.abs(bf).max()) if nf else 0.0
-            for it in range(1, self.iterations + 1):
-                rf = bf - kern.matvec(pf)
-                rnorm = float(np.abs(rf).max()) if nf else 0.0
-                if self.tol and rnorm <= self.tol:
-                    break
-                pf = pf + winv * rf
-            if nf:
-                pf = pf - pf.mean()
-            p = kern.scatter(pf)
-        metrics.inc(f"solver/{self.name}/solves")
-        metrics.inc(f"solver/{self.name}/iterations", it)
-        metrics.families.histogram(
-            "solver_iterations",
-            help="Iterations per pressure solve by solver.",
-            labels=("solver",),
-        ).observe(it, solver=self.name)
-        return SolveResult(
-            p, it, bool(self.tol and rnorm <= self.tol), rnorm, 12.0 * it * float(nf)
-        )
-

@@ -2,7 +2,7 @@
 
 A *pressure solver* is a :class:`~repro.fluid.solver_api.PressureSolver`:
 ``solve(b, solid) -> SolveResult``, a ``name`` identifier and a ``reset()``
-lifecycle hook.  The exact PCG solver, Jacobi, multigrid, the
+lifecycle hook.  The exact PCG solver, multigrid, NN-preconditioned CG, the
 neural-network approximators and the adaptive Smart-fluidnet controller all
 conform, so the simulator is agnostic to how the Poisson equation is
 (approximately) solved.  The ABC itself lives in

@@ -301,15 +301,12 @@ class FluidSimulator:
 
         The snapshot captures everything the time-stepping loop reads — the
         MAC-grid fields, the cell flags and the step counter — plus the
-        step-event timeline (JSON-encoded) and the DivNorm history for
-        diagnostics continuity.  It deliberately excludes the solver
-        (rebuilt from configuration; its per-geometry caches repopulate on
-        the first post-restore step) and the per-step records (their
-        ``ProjectionInfo`` is diagnostic, not state) — but solver-held
-        *simulation state* (a warm-start seed) rides along under
-        ``solver/`` keys, since losing it would break bit-for-bit resume.
-        The dict is ``np.savez``-compatible; see
-        :mod:`repro.farm.checkpoint`.
+        step-event timeline (JSON-encoded), which carries the DivNorm
+        history.  It deliberately excludes the solver (rebuilt from
+        configuration; its per-geometry caches repopulate on the first
+        post-restore step) and the per-step records (their
+        ``ProjectionInfo`` is diagnostic, not state).  The dict is
+        ``np.savez``-compatible; see :mod:`repro.farm.checkpoint`.
         """
         g = self.grid
         state = {
@@ -320,7 +317,6 @@ class FluidSimulator:
             "pressure": g.pressure.copy(),
             "density": g.density.copy(),
             "flags": g.flags.copy(),
-            "divnorm_history": self.full_divnorm_history,
             "timeline": np.asarray(
                 json.dumps([e.to_dict() for e in self.timeline])
             ),
@@ -330,11 +326,6 @@ class FluidSimulator:
         if self.source is not None and hasattr(self.source, "state_arrays"):
             for key, value in self.source.state_arrays().items():
                 state[f"scenario/{key}"] = value
-        # solver-held simulation state (PCG warm-start seed) rides along the
-        # same way, so a resumed run seeds its next solve identically
-        if hasattr(self.solver, "state_arrays"):
-            for key, value in self.solver.state_arrays().items():
-                state[f"solver/{key}"] = value
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -343,10 +334,7 @@ class FluidSimulator:
         The grid must have the same resolution as the snapshot.  Restoring
         replaces the flags (and hence the DivNorm weights, recomputed from
         the restored solid mask), resets the per-step records, and asks the
-        solver to drop caches keyed on the old geometry.  Solver state
-        persisted under ``solver/`` keys (the PCG warm-start seed) is
-        restored after the reset, so a restored run continues bit-for-bit
-        identically to the original even with warm-start on.
+        solver to drop caches keyed on the old geometry.
         """
         g = self.grid
         u, v = np.asarray(state["u"]), np.asarray(state["v"])
@@ -371,23 +359,7 @@ class FluidSimulator:
         self._step = int(state["step"])
         self.records = []
         self._segment_start = self._step
-        if "timeline" in state:
-            payload = np.asarray(state["timeline"]).item()
-            self.timeline = [Event.from_dict(d) for d in json.loads(payload)]
-        else:
-            # pre-timeline checkpoint: reconstruct divnorm events from the
-            # stored history (timestamps unknown); steps count back from
-            # the checkpointed step so the stitched timeline stays dense
-            history = np.asarray(state["divnorm_history"], dtype=np.float64)
-            first = self._step - history.size
-            self.timeline = [
-                Event(type="divnorm", step=first + i, attrs={"value": float(v)})
-                for i, v in enumerate(history)
-            ]
+        payload = np.asarray(state["timeline"]).item()
+        self.timeline = [Event.from_dict(d) for d in json.loads(payload)]
         if hasattr(self.solver, "reset"):
             self.solver.reset()
-        solver_state = {
-            k[len("solver/"):]: v for k, v in state.items() if k.startswith("solver/")
-        }
-        if solver_state and hasattr(self.solver, "load_state_arrays"):
-            self.solver.load_state_arrays(solver_state)

@@ -52,19 +52,6 @@ class TrainedModel:
         """Wrap the trained network as a pressure solver."""
         return NNProjectionSolver(self.network, name=self.name, passes=passes)
 
-    def nn_pcg_solver(self, **kwargs):
-        """Wrap the trained network as an exact NN-preconditioned CG solver.
-
-        Keyword arguments pass through to
-        :class:`repro.fluid.NNPCGSolver` (``tol``, ``window``, ``cycles``,
-        ...).  Unlike :meth:`solver`, the result converges to PCG tolerance
-        on every input — the network only steers the search directions.
-        """
-        from repro.fluid import NNPCGSolver
-
-        kwargs.setdefault("name", f"{self.name}_pcg")
-        return NNPCGSolver(self.network, **kwargs)
-
 
 class _HarvestingSolver:
     """Solve with a wrapped solver while harvesting normalised rhs frames."""

@@ -12,6 +12,10 @@ over a resizable :class:`repro.farm.pool.Pool` of simulation workers:
   worker fleet with queue depth; shrink always drains, never kills.
 * worker telemetry events are bridged from pool threads onto the event
   loop and fanned out to **watch** subscribers.
+* the service answers ``status``/``result`` for queued, running and the
+  :data:`MAX_FINISHED_JOBS` most recently finished jobs; an older
+  finished job is forgotten (its id answers :class:`UnknownJobError`
+  and may be submitted again), while its result stays in the cache.
 * **stop(drain=True)** finishes every admitted job before exiting;
   ``drain=False`` cancels cooperatively and resolves still-pending
   result futures with ``cancelled`` results.  Either way the cache
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +53,7 @@ from .protocol import ProtocolError, ServeError, read_frame, write_frame
 __all__ = [
     "DuplicateJobError",
     "InvalidSpecError",
+    "MAX_FINISHED_JOBS",
     "ShuttingDownError",
     "SimulationService",
     "ServiceServer",
@@ -56,9 +62,12 @@ __all__ = [
 
 _TERMINAL = ("completed", "failed", "cancelled")
 
+#: finished jobs a service keeps; past it the oldest-finished is forgotten
+MAX_FINISHED_JOBS = 256
+
 
 class UnknownJobError(ServeError):
-    """The referenced job_id was never submitted to this service."""
+    """The job_id was never submitted, or its job finished and was forgotten."""
 
     code = "unknown_job"
 
@@ -163,6 +172,7 @@ class SimulationService:
         self.pool: Pool | None = None
         self.autoscaler: Autoscaler | None = None
         self._jobs: dict[str, _Job] = {}
+        self._finished: deque[str] = deque()  # terminal job ids, oldest first
         self._loop: asyncio.AbstractEventLoop | None = None
         self._scaler_task: asyncio.Task | None = None
         self._obs_task: asyncio.Task | None = None
@@ -314,7 +324,7 @@ class SimulationService:
             ) and ok
         # let already-scheduled result callbacks land before sweeping
         await asyncio.sleep(0)
-        for job in self._jobs.values():
+        for job in list(self._jobs.values()):
             if job.status not in _TERMINAL:
                 self._finish(
                     JobResult(
@@ -376,6 +386,9 @@ class SimulationService:
             q.put_nowait(terminal)
             q.put_nowait(None)  # sentinel: stream is over
         job.watchers.clear()
+        self._finished.append(result.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
         self.metrics.inc(f"serve/jobs_{result.status}")
         self._jobs_by_status.inc(status=result.status)
         if job.submitted_at:

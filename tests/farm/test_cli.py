@@ -2,7 +2,23 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.farm import SOLVER_CHOICES, JobSpec, SimulationFarm
+
+
+@pytest.mark.parametrize("solver", SOLVER_CHOICES)
+def test_simulate_computes_the_bits_of_a_serial_farm_job(solver, capsys):
+    """``repro simulate`` builds its run with the farm's factory, so it
+    matches a farm job of the same scenario, grid, seed and steps."""
+    argv = ["simulate", "--grid", "16", "--seed", "3", "--steps", "3", "--json"]
+    assert main(argv + ["--solver", solver]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    job = JobSpec(job_id="twin", grid_size=16, seed=3, steps=3, solver=solver)
+    result = SimulationFarm(backend="serial").run([job]).results[0]
+    assert result.ok and not result.degraded
+    assert result.final_divnorm == steps[-1]["divnorm"]
 
 
 class TestFarmCLI:

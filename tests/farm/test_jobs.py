@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.farm import JobResult, JobSpec
+from repro.farm import SOLVER_CHOICES, JobResult, JobSpec
 
 
 class TestJobSpec:
@@ -40,11 +40,18 @@ class TestJobSpec:
             {"checkpoint_every": -1},
             {"max_retries": -1},
             {"fail_mode": "explode"},
+            # kinds that are no longer solvers
+            {"solver": "jacobi"},
+            {"solver": "jacobi-pcg"},
+            {"solver": "spectral"},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             JobSpec(job_id="j", **kwargs)
+
+    def test_solver_choices_are_the_exact_and_network_kinds(self):
+        assert SOLVER_CHOICES == ("pcg", "multigrid", "nn", "nn-pcg")
 
 
 class TestCacheKey:

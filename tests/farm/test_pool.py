@@ -57,6 +57,18 @@ class TestSerialBackend:
         assert report.metrics.counter("farm/jobs") == 2
         assert report.metrics.counter("farm/jobs_failed") == 1
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_warm_start_param_fails_only_its_job(self, backend):
+        """PCG has no warm start: a spec that asks for it fails alone, and
+        never degrades to a PCG run that ignores the request."""
+        bad = JobSpec(job_id="warm", grid_size=16, seed=3, steps=2,
+                      solver="pcg", solver_params={"warm_start": True})
+        report = SimulationFarm(workers=1, backend=backend).run([bad] + make_jobs(1))
+        failed, good = report.results
+        assert failed.status == "failed" and not failed.degraded
+        assert failed.error.startswith("TypeError") and "warm_start" in failed.error
+        assert good.ok and good.steps_done == 3
+
     def test_spans_without_a_registry_land_in_the_job_profile(self):
         """``kernels/build`` opens on the process default registry; a serial
         job installs its own there, as a pool child does, and restores the

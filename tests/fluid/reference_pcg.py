@@ -2,9 +2,8 @@
 
 :class:`ReferencePCGSolver` replaces only the solve loop.  It runs CG on 2-D
 grids with ``apply_laplacian`` and the wavefront
-:meth:`~repro.fluid.MIC0Preconditioner.apply`, while warm start, the mask-keyed
-caches, counters and the span come from :class:`PCGSolver`, so both solvers
-see the same solve history.  The flat-vector kernel loop must reproduce this
+:meth:`~repro.fluid.MIC0Preconditioner.apply`, while the mask-keyed caches,
+counters and the span come from :class:`PCGSolver`.  The flat-vector kernel loop must reproduce this
 loop bit for bit: same iterations, residual history, flops and pressure.
 """
 
@@ -13,7 +12,6 @@ import numpy as np
 from repro.fluid import MIC0Preconditioner, PCGSolver, SolveResult
 from repro.fluid.laplacian import remove_nullspace
 from repro.fluid.operators import apply_laplacian
-from repro.fluid.solver_api import MaskKeyedCache
 from repro.metrics import MetricsRegistry
 
 
@@ -39,7 +37,6 @@ class ReferencePCGSolver(PCGSolver):
         # compatibility projection: remove the per-component null space
         b = remove_nullspace(b, solid)
 
-        geo_key = MaskKeyedCache.key_of(solid)
         p = np.zeros_like(b)
         r = b.copy()
         bnorm = float(np.abs(b[fluid]).max()) if nf else 0.0
@@ -48,16 +45,9 @@ class ReferencePCGSolver(PCGSolver):
             return SolveResult(p, 0, True, 0.0, 0.0, history)
         tol_abs = self.tol * bnorm
 
-        if self.warm_start and self._prev_pressure is not None and self._prev_key == geo_key:
-            p = self._prev_pressure.copy()
-            r = b - apply_laplacian(p, solid)
-            r[~fluid] = 0.0
-            metrics.inc(f"solver/{self.name}/warm_starts")
-
-        rnorm = float(np.abs(r[fluid]).max())
         flops = 0.0
         it = 0
-        converged = rnorm <= tol_abs  # a warm start may already satisfy tol
+        converged = bnorm <= tol_abs
         if not converged:
             z = apply_m(r)
             s = z.copy()
@@ -83,8 +73,5 @@ class ReferencePCGSolver(PCGSolver):
                 sigma = sigma_new
 
         p = remove_nullspace(p, solid)
-        if self.warm_start:
-            self._prev_pressure = p.copy()
-            self._prev_key = geo_key
         rnorm = float(np.abs(r[fluid]).max())
         return SolveResult(p, it, converged, rnorm, flops, history)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fluid import (
-    JacobiSolver,
     MACGrid2D,
     MIC0Preconditioner,
     PCGSolver,
@@ -121,6 +120,11 @@ class TestPCGSolver:
         with pytest.raises(ValueError):
             PCGSolver(preconditioner="ilu")
 
+    def test_no_warm_start(self):
+        """Every solve starts from zero; there is no warm-start option."""
+        with pytest.raises(TypeError):
+            PCGSolver(warm_start=True)
+
     def test_jacobi_preconditioner_works(self):
         solid = plume_solid(16, 13)
         res = PCGSolver(tol=1e-8, preconditioner="jacobi").solve(compatible_rhs(solid, 14), solid)
@@ -152,26 +156,3 @@ class TestPCGSolver:
         p1 = PCGSolver(tol=1e-10).solve(b, solid).pressure
         p2 = PCGSolver(tol=1e-10).solve(2.0 * b, solid).pressure
         np.testing.assert_allclose(p2, 2.0 * p1, atol=1e-6)
-
-
-class TestJacobiSolve:
-    def test_reduces_residual(self):
-        solid = plume_solid(16, 0)
-        b = compatible_rhs(solid, 1)
-        res = JacobiSolver(iterations=300).solve(b, solid)
-        r = b - apply_laplacian(res.pressure, solid)
-        assert np.abs(r[~solid]).max() < np.abs(b[~solid]).max()
-
-    def test_tolerance_stops_early(self):
-        solid = plume_solid(16, 2)
-        b = compatible_rhs(solid, 3)
-        res = JacobiSolver(iterations=100000, tol=1e-2).solve(b, solid)
-        assert res.converged
-        assert res.iterations < 100000
-
-    def test_much_less_accurate_than_pcg_at_fixed_work(self):
-        solid = plume_solid(32, 4)
-        b = compatible_rhs(solid, 5)
-        pcg = PCGSolver(tol=1e-9).solve(b, solid)
-        jac = JacobiSolver(iterations=pcg.iterations).solve(b, solid)
-        assert jac.residual_norm > pcg.residual_norm

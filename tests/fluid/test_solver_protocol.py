@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fluid import (
-    JacobiSolver,
     MACGrid2D,
     MaskKeyedCache,
     MIC0Preconditioner,
@@ -41,7 +40,7 @@ def nn_solver(**kw):
 ALL_SOLVERS = [
     ("pcg", lambda: PCGSolver()),
     ("multigrid", lambda: MultigridSolver()),
-    ("jacobi", lambda: JacobiSolver(iterations=50)),
+    ("jacobi", lambda: PCGSolver(preconditioner="jacobi")),
     ("nn", lambda: nn_solver()),
 ]
 
@@ -106,7 +105,7 @@ class TestCacheCorrectness:
         [
             ("pcg", lambda: PCGSolver()),
             ("multigrid", lambda: MultigridSolver()),
-            ("jacobi", lambda: JacobiSolver(iterations=50)),
+            ("jacobi", lambda: PCGSolver(preconditioner="jacobi")),
         ],
     )
     def test_caching_does_not_change_results(self, label, factory):
@@ -208,54 +207,3 @@ class TestMaskKeyedCache:
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError):
             MaskKeyedCache("t", capacity=0)
-
-
-class TestWarmStart:
-    def test_warm_start_converges_to_same_tolerance(self):
-        solid = make_geometry()
-        b1 = make_rhs(solid, seed=1)
-        b2 = b1 + 0.05 * make_rhs(solid, seed=2)
-        tol = 1e-5
-        cold = PCGSolver(tol=tol)
-        warm = PCGSolver(tol=tol, warm_start=True)
-        warm.solve(b1, solid)
-        res_cold = cold.solve(b2, solid)
-        res_warm = warm.solve(b2, solid)
-        bnorm = np.abs(remove_nullspace(b2, solid)[~solid]).max()
-        assert res_cold.converged and res_warm.converged
-        assert res_warm.residual_norm <= tol * bnorm
-        # consecutive rhs are correlated, so the warm start saves iterations
-        assert res_warm.iterations <= res_cold.iterations
-
-    def test_warm_start_can_converge_immediately(self):
-        solid = make_geometry()
-        b = make_rhs(solid)
-        warm = PCGSolver(warm_start=True)
-        warm.solve(b, solid)
-        res = warm.solve(b, solid)  # identical rhs: previous solution fits
-        assert res.converged
-        assert res.iterations == 0
-
-    def test_warm_start_reset_restores_cold_behaviour(self):
-        solid = make_geometry()
-        b = make_rhs(solid)
-        cold = PCGSolver().solve(b, solid)
-        warm = PCGSolver(warm_start=True)
-        warm.solve(b, solid)
-        warm.reset()
-        res = warm.solve(b, solid)
-        assert res.iterations == cold.iterations
-        np.testing.assert_array_equal(res.pressure, cold.pressure)
-
-    def test_warm_start_invalidated_by_new_geometry(self):
-        s1 = make_geometry()
-        s2 = s1.copy()
-        s2 |= disc_mask(s1.shape, 6, 14, 3)
-        warm = PCGSolver(warm_start=True)
-        warm.solve(make_rhs(s1), s1)
-        b2 = make_rhs(s2)
-        res = warm.solve(b2, s2)  # must not seed from the old geometry
-        cold = PCGSolver().solve(b2, s2)
-        assert res.iterations == cold.iterations
-        np.testing.assert_array_equal(res.pressure, cold.pressure)
-

@@ -259,6 +259,42 @@ class TestServiceEndToEnd:
         assert first["type"] == "result" and first["status"] == "completed"
         assert sentinel is None
 
+    def test_finished_jobs_are_forgotten_oldest_first(self, tmp_path):
+        """The service holds a bounded number of finished jobs: older ids
+        answer UnknownJobError, their results stay in the cache, and a job
+        still queued or running is never dropped."""
+        from repro.serve.service import MAX_FINISHED_JOBS
+
+        service = make_service(tmp_path)
+        hits = [f"hit-{i}" for i in range(MAX_FINISHED_JOBS + 3)]
+
+        async def run():
+            await service.start()
+            service.submit(spec("cold", seed=5))
+            await service.result("cold", timeout=60.0)
+            # nothing runs on the loop until the next await, so "queued"
+            # stays unfinished while the cache hits finish around it
+            service.submit(spec("queued", seed=6))
+            for job_id in hits:
+                assert service.submit(spec(job_id, seed=5))["cached"]
+            held = service.stats()["jobs"]["total"]
+            forgotten = []
+            for job_id in ["cold"] + hits:
+                try:
+                    service.status(job_id)
+                except UnknownJobError:
+                    forgotten.append(job_id)
+            queued = await service.result("queued", timeout=60.0)
+            again = service.submit(spec("again", seed=5))
+            await service.stop(drain=True, timeout=60.0)
+            return held, forgotten, queued, again
+
+        held, forgotten, queued, again = asyncio.run(run())
+        assert held == MAX_FINISHED_JOBS + 1  # the finished ones + "queued"
+        assert forgotten == ["cold"] + hits[:3]
+        assert queued.ok and not queued.cached
+        assert again["cached"]
+
     def test_stats_snapshot_shape(self, tmp_path):
         service = make_service(tmp_path)
 

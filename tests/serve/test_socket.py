@@ -150,6 +150,25 @@ class TestTypedErrorsOverTheWire:
         with pytest.raises(InvalidSpecError):
             asyncio.run(run())
 
+    def test_removed_solver_kind_is_invalid_spec(self, tmp_path):
+        async def run():
+            service, server = await serve(tmp_path)
+            try:
+                async with await ServiceClient.open(tmp_path / "serve.sock") as client:
+                    bad = spec("gone").to_dict()
+                    bad["solver"] = "spectral"
+                    with pytest.raises(InvalidSpecError):
+                        await client._request(
+                            {"op": "submit", "spec": bad, "tenant": "t", "priority": 1}
+                        )
+                    # the service and the connection still take valid work
+                    await client.submit(spec("after"))
+                    assert (await client.result("after", timeout=60.0)).ok
+            finally:
+                await shutdown(service, server)
+
+        asyncio.run(run())
+
     def test_unknown_op_is_a_protocol_error(self, tmp_path):
         async def run():
             service, server = await serve(tmp_path)

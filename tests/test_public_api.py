@@ -51,7 +51,6 @@ def test_facade_exports_solvers_and_metrics():
     import repro
 
     assert issubclass(repro.PCGSolver, repro.PressureSolver)
-    assert issubclass(repro.JacobiSolver, repro.PressureSolver)
     assert issubclass(repro.MultigridSolver, repro.PressureSolver)
     assert issubclass(repro.NNProjectionSolver, repro.PressureSolver)
     assert repro.metrics.MetricsRegistry is repro.MetricsRegistry

@@ -162,13 +162,6 @@ class TestCLI:
         counts = {entry["labels"][0]: entry["value"]["hist"]["count"] for entry in series}
         assert counts["step"] == counts["solve/pcg"] == 2
 
-    def test_simulate_warm_start_and_jacobi_backend(self, capsys):
-        assert main(
-            ["simulate", "--grid", "16", "--steps", "2", "--warm-start", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["warm_start"] is True
-        assert main(["simulate", "--grid", "16", "--steps", "1", "--solver", "jacobi"]) == 0
 
     def test_simulate_scenario_flag(self, capsys):
         # acceptance criteria: moving-obstacle scenario end-to-end via CLI
@@ -225,6 +218,27 @@ class TestCLI:
     def test_experiment_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    @pytest.mark.parametrize("command", ["simulate", "farm", "top", "submit"])
+    def test_solver_option_takes_exactly_the_job_kinds(self, command):
+        from repro.farm import SOLVER_CHOICES
+
+        parser = build_parser()
+        for kind in SOLVER_CHOICES:
+            assert parser.parse_args([command, "--solver", kind]).solver == kind
+        for kind in ("jacobi", "jacobi-pcg", "spectral"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--solver", kind])
+
+    @pytest.mark.parametrize("command", ["simulate", "farm", "submit"])
+    def test_steps_below_one_is_an_argparse_error(self, command):
+        """Every run is a JobSpec, which needs at least one step."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--steps", "0"])
+
+    def test_no_warm_start_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--warm-start"])
 
     @pytest.mark.parametrize("command", ["simulate", "farm", "top"])
     def test_no_precision_flag(self, command):
